@@ -8,6 +8,8 @@ plotting.
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 from foglink.cli import main as foglink_main
 
@@ -20,26 +22,19 @@ def main() -> int:
                         help="attenuation model override")
     args = parser.parse_args()
 
-    passthrough = ["--out-dir", args.out_dir]
-    if args.config:
-        passthrough += ["--config", args.config]
-    if args.model:
-        # tiny inline config override layered on top of any provided file
-        import tempfile
-        from pathlib import Path
-        merged = ""
-        if args.config:
-            merged = Path(args.config).read_text() + "\n"
-        override = tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False)
-        override.write(merged + f"attenuation_model = {args.model}\n")
-        override.close()
-        passthrough = ["--out-dir", args.out_dir, "--config", override.name]
-
-    for command in ("attenuation-sweep", "link-sweep"):
-        code = foglink_main([command] + passthrough)
-        if code != 0:
-            return code
-        print(f"{command}: done -> {args.out_dir}")
+    with tempfile.TemporaryDirectory() as scratch:
+        config = args.config
+        if args.model:
+            # the override line comes last, so it wins over the file's own key
+            merged = Path(args.config).read_text() + "\n" if args.config else ""
+            config = str(Path(scratch) / "merged.cfg")
+            Path(config).write_text(merged + f"attenuation_model = {args.model}\n")
+        passthrough = ["--out-dir", args.out_dir] + (["--config", config] if config else [])
+        for command in ("attenuation-sweep", "link-sweep"):
+            code = foglink_main([command] + passthrough)
+            if code != 0:
+                return code
+            print(f"{command}: done -> {args.out_dir}")
     return 0
 
 

@@ -205,7 +205,3 @@ def fit_adaboost_r2(data: LabeledTable, n_rounds: int, min_leaf_size: int, *,
                          mode=AdaBoostMode.R2_REGRESSOR,
                          n_features=data.n_features, feature_names=data.feature_names,
                          round_errors=losses)
-
-
-def predict_adaboost(model: AdaBoostModel, x: Sequence[float]) -> float:
-    return model.predict_row(x)

@@ -76,7 +76,3 @@ def fit_gradient_boost(data: LabeledTable, n_trees: int, learning_rate: float,
     return GradientBoostModel(init_value=init_value, trees=trees,
                               learning_rate=learning_rate, min_leaf_size=min_leaf_size,
                               n_features=data.n_features, feature_names=data.feature_names)
-
-
-def predict_gradient_boost(model: GradientBoostModel, x: Sequence[float]) -> float:
-    return model.predict_row(x)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaboost import AdaBoostTrainingError, fit_adaboost_r2
+from .adaboost import AdaBoostTrainingError
 from .atmosphere import (
     AttenuationModel,
     OpticalPath,
@@ -35,7 +36,6 @@ from .atmosphere import (
     particle_size_exponent,
     path_attenuation_db,
 )
-from .boosting import fit_gradient_boost
 from .dataset import (
     DEFAULT_STATION_PROFILES,
     CsvParseError,
@@ -46,7 +46,7 @@ from .dataset import (
     synthesize_dataset,
     write_visibility_csv,
 )
-from .forest import default_mtry_regression, fit_random_forest
+from .forest import default_mtry_regression
 from .link_budget import (
     OokScheme,
     ReceiverNoiseConfig,
@@ -65,7 +65,7 @@ from .link_budget import (
 from .metrics import compute_metrics
 from .neural import MLPModel, TrainConfig, TrainingError, train
 from .serialize import load_model, save_model
-from .stacking import LearnerSpec, StackConfig, StackingError, fit_stacked
+from .stacking import LearnerSpec, StackConfig, StackingError, fit_base_learner, fit_stacked
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,6 +74,9 @@ EXIT_PARSE = 4
 EXIT_TRAINING = 5
 
 MODEL_NAMES = ("rf", "gbr", "adbr", "stacked", "mlp")
+# Learners whose fit draws no random numbers: the stacked model reuses their
+# full-table fits rather than refitting them.
+SEED_FREE = ("gbr", "adbr")
 METRIC_HEADER = ["model", "location", "n", "MSE", "MAE", "MAPE", "RMSE", "R2"]
 
 
@@ -199,16 +202,23 @@ def _coerce(name: str, default, text: str):
         raise ValidationError(f"config key {name}: cannot parse value {text!r}")
 
 
+def _run_config(values: dict) -> RunConfig:
+    """The defaults with ``values`` applied; every key must be a RunConfig field."""
+    unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    return replace(RunConfig(), **values)
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     """Defaults, overridden by a flat key=value file when one is given."""
-    cfg = RunConfig()
     if path is None:
-        return cfg
+        return RunConfig()
     file = Path(path)
     if not file.exists():
         raise ValidationError(f"config file not found: {path}")
-    known = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    updates, unknown = {}, []
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    updates = {}
     for raw in file.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,13 +226,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         if "=" not in line:
             raise ValidationError(f"config line not of form key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            unknown.append(key)
-            continue
-        updates[key] = _coerce(key, known[key], value)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(cfg, **updates)
+        updates[key] = _coerce(key, defaults[key], value) if key in defaults else value
+    return _run_config(updates)
 
 
 def _fmt(value) -> str:
@@ -409,89 +414,73 @@ def cmd_train(args) -> int:
     qos = _build_table(records, cfg)
     train_idx, _, _ = split_indices(qos.table.n_rows, cfg.split_fractions, args.seed)
     table = qos.table.subset(train_idx)
-    mtry = default_mtry_regression(table.n_features)
-
-    hyper = {
-        "rf": {"n_trees": cfg.rf_trees, "mtry": mtry,
-               "min_leaf_size": cfg.rf_min_leaf, "seed": args.seed},
-        "gbr": {"n_trees": cfg.gbr_stages, "learning_rate": cfg.gbr_learning_rate,
-                "min_leaf_size": cfg.gbr_min_leaf, "max_depth": cfg.gbr_max_depth},
-        "adbr": {"n_rounds": cfg.adbr_rounds, "min_leaf_size": cfg.adbr_min_leaf,
-                 "max_depth": cfg.adbr_max_depth},
-        "stacked": {"n_folds": cfg.stack_folds, "seed": args.seed,
-                    "base": ["forest", "gbr", "adbr", "tree"]},
-        "mlp": {"hidden": cfg.mlp_hidden, "epochs": cfg.mlp_epochs,
-                "learning_rate": cfg.mlp_learning_rate,
-                "batch_size": cfg.mlp_batch_size, "patience": cfg.mlp_patience,
-                "seed": args.seed},
+    # the stacked model combines these same specs plus a single tree
+    specs = {
+        "rf": LearnerSpec("forest", {"n_trees": cfg.rf_trees,
+                                     "mtry": default_mtry_regression(table.n_features),
+                                     "min_leaf_size": cfg.rf_min_leaf}),
+        "gbr": LearnerSpec("gbr", {"n_trees": cfg.gbr_stages,
+                                   "learning_rate": cfg.gbr_learning_rate,
+                                   "min_leaf_size": cfg.gbr_min_leaf,
+                                   "max_depth": cfg.gbr_max_depth}),
+        "adbr": LearnerSpec("adbr", {"n_rounds": cfg.adbr_rounds,
+                                     "min_leaf_size": cfg.adbr_min_leaf,
+                                     "max_depth": cfg.adbr_max_depth}),
     }
 
-    def fit_rf():
-        return fit_random_forest(table, cfg.rf_trees, mtry, cfg.rf_min_leaf, args.seed)
-
-    def fit_gbr():
-        return fit_gradient_boost(table, cfg.gbr_stages, cfg.gbr_learning_rate,
-                                  cfg.gbr_min_leaf, max_depth=cfg.gbr_max_depth)
-
-    def fit_adbr():
-        return fit_adaboost_r2(table, cfg.adbr_rounds, cfg.adbr_min_leaf,
-                               max_depth=cfg.adbr_max_depth)
-
-    def fit_stack():
-        specs = (
-            LearnerSpec("forest", {"n_trees": cfg.rf_trees, "mtry": mtry,
-                                   "min_leaf_size": cfg.rf_min_leaf}),
-            LearnerSpec("gbr", {"n_trees": cfg.gbr_stages,
-                                "learning_rate": cfg.gbr_learning_rate,
-                                "min_leaf_size": cfg.gbr_min_leaf,
-                                "max_depth": cfg.gbr_max_depth}),
-            LearnerSpec("adbr", {"n_rounds": cfg.adbr_rounds,
-                                 "min_leaf_size": cfg.adbr_min_leaf,
-                                 "max_depth": cfg.adbr_max_depth}),
-            LearnerSpec("tree", {"min_leaf_size": cfg.rf_min_leaf}),
-        )
-        return fit_stacked(table, StackConfig(specs, cfg.stack_folds, args.seed))
-
-    def fit_mlp():
-        net = MLPModel.initialize((table.n_features, cfg.mlp_hidden, 1), seed=args.seed)
-        train_cfg = TrainConfig(
-            learning_rate=cfg.mlp_learning_rate, epochs=cfg.mlp_epochs,
-            batch_size=cfg.mlp_batch_size, seed=args.seed,
-            early_stop_patience=cfg.mlp_patience)
-        return train(net, table, train_cfg)
-
-    fitters = {"rf": fit_rf, "gbr": fit_gbr, "adbr": fit_adbr,
-               "stacked": fit_stack, "mlp": fit_mlp}
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
-    manifest_models, failures = {}, {}
+    fitted, manifest_models, failures = {}, {}, {}
     log_rows: list[tuple] = []
     for name in MODEL_NAMES:
         try:
-            fitted = fitters[name]()
+            if name in specs:
+                model = fit_base_learner(specs[name], table, args.seed)
+                hyperparameters = dict(specs[name].params)
+                if name == "rf":
+                    hyperparameters["seed"] = args.seed
+            elif name == "stacked":
+                stack = StackConfig(
+                    (*specs.values(), LearnerSpec("tree", {"min_leaf_size": cfg.rf_min_leaf})),
+                    cfg.stack_folds, args.seed)
+                model = fit_stacked(table, stack, {specs[n].label: fitted[n]
+                                                   for n in SEED_FREE if n in fitted})
+                hyperparameters = {"n_folds": stack.n_folds, "seed": stack.seed,
+                                   "base": [spec.kind for spec in stack.base_learner_specs]}
+            else:
+                net = MLPModel.initialize((table.n_features, cfg.mlp_hidden, 1), seed=args.seed)
+                result = train(net, table, TrainConfig(
+                    learning_rate=cfg.mlp_learning_rate, epochs=cfg.mlp_epochs,
+                    batch_size=cfg.mlp_batch_size, seed=args.seed,
+                    early_stop_patience=cfg.mlp_patience))
+                model = result.model
+                hyperparameters = {"hidden": cfg.mlp_hidden, "epochs": cfg.mlp_epochs,
+                                   "learning_rate": cfg.mlp_learning_rate,
+                                   "batch_size": cfg.mlp_batch_size,
+                                   "patience": cfg.mlp_patience, "seed": args.seed}
         except Exception as exc:  # keep fitting the remaining models
             failures[name] = f"{type(exc).__name__}: {exc}"
             print(f"training failed for {name}: {exc}", file=sys.stderr)
             continue
+        fitted[name] = model
         if name == "mlp":
-            for epoch, (tl, vl) in enumerate(zip(fitted.train_loss, fitted.val_loss)):
+            for epoch, (tl, vl) in enumerate(zip(result.train_loss, result.val_loss)):
                 log_rows.append(("mlp", "train_loss", epoch, tl))
                 log_rows.append(("mlp", "val_loss", epoch, vl))
-            fitted = fitted.model
-        if name == "rf" and fitted.oob_error is not None:
-            log_rows.append(("rf", "oob_mse", 0, fitted.oob_error))
+        if name == "rf" and model.oob_error is not None:
+            log_rows.append(("rf", "oob_mse", 0, model.oob_error))
         if name == "adbr":
-            for k, loss in enumerate(fitted.round_errors or []):
+            for k, loss in enumerate(model.round_errors or []):
                 log_rows.append(("adbr", "round_loss", k, loss))
         if name == "stacked":
-            for l, weight in enumerate(fitted.weights):
+            for l, weight in enumerate(model.weights):
                 log_rows.append(("stacked", "weight", l, float(weight)))
         if name == "gbr":
-            train_mse = float(np.mean((fitted.predict(table.features) - table.targets) ** 2))
+            train_mse = float(np.mean((model.predict(table.features) - table.targets) ** 2))
             log_rows.append(("gbr", "train_mse", 0, train_mse))
-        save_model(fitted, models_dir / f"{name}.json")
+        save_model(model, models_dir / f"{name}.json")
         manifest_models[name] = {"file": f"models/{name}.json",
-                                 "hyperparameters": hyper[name]}
+                                 "hyperparameters": hyperparameters}
 
     manifest = {
         "seed": args.seed,
@@ -517,9 +506,8 @@ def cmd_evaluate(args) -> int:
     if not manifest_path.exists():
         raise ValidationError(f"manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
-    cfg = replace(RunConfig(), **{
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in manifest["config"].items()})
+    cfg = _run_config({key: tuple(value) if isinstance(value, list) else value
+                       for key, value in manifest["config"].items()})
 
     source = manifest["source"]
     seed = manifest["seed"]
@@ -594,9 +582,12 @@ def cmd_predict(args) -> int:
         if len(parts) != len(expected):
             raise CsvParseError(line_no, f"expected {len(expected)} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            values = [float(p) for p in parts]
         except ValueError:
             raise CsvParseError(line_no, f"non-numeric feature value in {line!r}")
+        if not all(map(math.isfinite, values)):
+            raise CsvParseError(line_no, f"non-finite feature value in {line!r}")
+        rows.append(values)
     out_path = Path(args.out) if args.out else _out_dir(args) / "predictions.csv"
     if rows:
         X = np.asarray(rows)

@@ -233,20 +233,6 @@ def synthesize_dataset(station_profiles: Sequence[StationProfile], n_days: int,
 
 
 @dataclass(frozen=True)
-class QosRow:
-    modulation: int
-    data_rate_bps: float
-    attenuation_db_per_km: float
-    tx_power_w: float
-    wavelength_nm: float
-    target_snr_db: float
-
-    def feature_vector(self) -> list[float]:
-        return [float(self.modulation), self.data_rate_bps,
-                self.attenuation_db_per_km, self.tx_power_w, self.wavelength_nm]
-
-
-@dataclass(frozen=True)
 class TransceiverSweep:
     """Grid of transmit settings expanded against every visibility record."""
 
@@ -284,7 +270,8 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
     """
     if not records:
         raise ValueError("need at least one visibility record")
-    rows: list[QosRow] = []
+    features: list[list[float]] = []
+    targets: list[float] = []
     stations: list[str] = []
     for record in records:
         for lam in sweep.wavelengths_nm:
@@ -300,12 +287,11 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
                 snr_db = snr_budget_db(replace(
                     budget, tx_power_dbm=watts_to_dbm(power),
                     wavelength_m=lam * 1e-9, total_attenuation_db=total_atten_db))
-                for modulation in (0, 1):
-                    rows.append(QosRow(modulation, rate, atten_db_km, power, lam, snr_db))
+                for modulation in (0.0, 1.0):
+                    features.append([modulation, rate, atten_db_km, power, lam])
+                    targets.append(snr_db)
                     stations.append(record.station)
-    features = np.array([r.feature_vector() for r in rows])
-    targets = np.array([r.target_snr_db for r in rows])
-    return QosDataset(LabeledTable(features, targets, QOS_FEATURE_NAMES),
+    return QosDataset(LabeledTable(np.array(features), np.array(targets), QOS_FEATURE_NAMES),
                       np.array(stations))
 
 

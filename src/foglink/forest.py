@@ -84,7 +84,3 @@ def fit_random_forest(data: LabeledTable, n_trees: int, mtry: int,
     return RandomForestModel(trees=trees, mtry=mtry, min_leaf_size=min_leaf_size,
                              bootstrap_seed=seed, oob_error=oob_error,
                              n_features=data.n_features, feature_names=data.feature_names)
-
-
-def predict_random_forest(model: RandomForestModel, x: Sequence[float]) -> float:
-    return model.predict_row(x)

@@ -23,15 +23,6 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 PLANCK_JS = 6.626e-34
 ELECTRON_CHARGE_C = 1.602e-19
 
-# Visibility presets (km) for the fog classes used by the power-penalty
-# sweeps.  Not measured values; configurable defaults.
-DEFAULT_FOG_VISIBILITY_KM = {
-    "dense": 0.05,
-    "thick": 0.2,
-    "moderate": 0.5,
-    "light": 0.77,
-}
-
 
 class OokScheme(enum.IntEnum):
     """On-off keying pulse format; the integer value doubles as the

@@ -149,11 +149,6 @@ class MLPModel:
         return float(self.predict(x[None, :])[0])
 
 
-def forward(model: MLPModel, x: Sequence[float]) -> float:
-    """Single-vector forward pass through the network."""
-    return model.predict_row(x)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float

@@ -157,4 +157,10 @@ def save_model(model: AnyModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> AnyModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a model file; a missing or ill-typed field is a ValueError."""
+    try:
+        return model_from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"model file {path}: missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"model file {path}: malformed field ({exc})") from exc

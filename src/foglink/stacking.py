@@ -7,17 +7,17 @@ meta-learner minimises the squared error of a convex combination of the
 level-1 columns -- weights nonnegative and summing to one -- which keeps
 stacked predictions inside the range of the base predictions and guarantees
 the meta objective is no worse than the best single learner.  Final base
-learners are refitted on all rows for prediction time.
+learners are refitted on all rows for prediction time, except those the
+caller has already fitted on all rows and hands over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import neural
 from .adaboost import fit_adaboost_r2
 from .boosting import fit_gradient_boost
 from .forest import default_mtry_regression, fit_random_forest
@@ -36,8 +36,8 @@ class StackingError(RuntimeError):
 class LearnerSpec:
     """Base-learner descriptor: a kind tag plus keyword hyperparameters.
 
-    Kinds: ``tree``, ``forest``, ``gbr``, ``adbr``, ``mlp``, plus the trivial
-    ``mean`` and ``constant`` learners used in tests.
+    Kinds: ``tree``, ``forest``, ``gbr``, ``adbr``, plus the trivial ``mean``
+    and ``constant`` learners used in tests.
     """
 
     kind: str
@@ -99,20 +99,6 @@ def fit_base_learner(spec: LearnerSpec, data: LabeledTable, seed: int):
             n_rounds=p.pop("n_rounds", 20),
             min_leaf_size=p.pop("min_leaf_size", 5),
             max_depth=p.pop("max_depth", 3))
-    if spec.kind == "mlp":
-        hidden = tuple(p.pop("hidden", (10,)))
-        cfg = neural.TrainConfig(
-            learning_rate=p.pop("learning_rate", 0.05),
-            epochs=p.pop("epochs", 300),
-            batch_size=p.pop("batch_size", 32),
-            seed=p.pop("seed", seed),
-            split_fractions=tuple(p.pop("split_fractions", (0.7, 0.15, 0.15))),
-            early_stop_patience=p.pop("early_stop_patience", 0))
-        model = neural.MLPModel.initialize(
-            (data.n_features, *hidden, 1),
-            hidden_activation=neural.ActivationKind(p.pop("activation", "sigmoid")),
-            seed=cfg.seed)
-        return neural.train(model, data, cfg).model
     if spec.kind == "mean":
         return _MeanLearner(float(np.mean(data.targets)))
     if spec.kind == "constant":
@@ -239,17 +225,23 @@ class StackedModel:
         return self.weights @ base
 
 
-def fit_stacked(data: LabeledTable, cfg: StackConfig) -> StackedModel:
-    """Level-1 construction, weight solve, then final refits on all rows."""
+def fit_stacked(data: LabeledTable, cfg: StackConfig,
+                fitted: Optional[Mapping[str, object]] = None) -> StackedModel:
+    """Level-1 construction, weight solve, then final refits on all rows.
+
+    ``fitted`` maps spec labels to models already fitted on all of ``data``
+    with that spec; those are reused instead of refitted.  Only seed-free
+    learners give the same model either way, since a refit draws its seed
+    from ``cfg.seed``.
+    """
+    fitted = fitted or {}
     level1 = build_level1_sample(data, cfg)
     weights = solve_stacking_weights(level1)
     seeds = _learner_seeds(cfg, cfg.n_folds)
-    finals = [fit_base_learner(spec, data, int(seeds[l, cfg.n_folds]))
+    finals = [fitted[spec.label] if spec.label in fitted
+              else fit_base_learner(spec, data, int(seeds[l, cfg.n_folds]))
               for l, spec in enumerate(cfg.base_learner_specs)]
     return StackedModel(final_base_learners=finals, weights=weights,
                         specs=tuple(cfg.base_learner_specs),
                         n_features=data.n_features, feature_names=data.feature_names)
 
-
-def predict_stacked(model: StackedModel, x: Sequence[float]) -> float:
-    return model.predict_row(x)

@@ -191,7 +191,3 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
                  allowed, _mtry, _rng)
     return RegressionTree(root=root, min_leaf_size=min_leaf_size,
                           n_features=data.n_features, feature_names=data.feature_names)
-
-
-def predict_tree(tree: RegressionTree, x: Sequence[float]) -> float:
-    return tree.predict_row(x)

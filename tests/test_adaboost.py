@@ -11,7 +11,6 @@ from foglink.adaboost import (
     classifier_round,
     fit_adaboost_classifier,
     fit_adaboost_r2,
-    predict_adaboost,
 )
 from foglink.tables import LabeledTable
 
@@ -63,7 +62,7 @@ class TestClassifierFit:
         model = fit_adaboost_classifier(LabeledTable(X, y, ("x",)), 10)
         assert len(model.weak_learners) == 1
         assert model.round_errors == [0.0]
-        assert [predict_adaboost(model, row) for row in X] == list(y)
+        assert [model.predict_row(row) for row in X] == list(y)
 
     def test_all_stored_errors_below_half_and_alphas_positive(self):
         rng = np.random.default_rng(23)
@@ -82,7 +81,7 @@ class TestClassifierFit:
         many = fit_adaboost_classifier(data, 25)
 
         def training_error(model):
-            wrong = sum(predict_adaboost(model, row) != label for row, label in zip(X, y))
+            wrong = sum(model.predict_row(row) != label for row, label in zip(X, y))
             return wrong / len(y)
 
         assert training_error(many) < training_error(one)
@@ -112,16 +111,16 @@ class TestPredictVote:
                              mode=AdaBoostMode.BINARY_CLASSIFIER, n_features=1)
 
     def test_single_learner_vote(self):
-        assert predict_adaboost(self._model([1], [1.0]), [0.0]) == 1.0
-        assert predict_adaboost(self._model([-1], [1.0]), [0.0]) == -1.0
+        assert self._model([1], [1.0]).predict_row([0.0]) == 1.0
+        assert self._model([-1], [1.0]).predict_row([0.0]) == -1.0
 
     def test_weighted_majority(self):
         model = self._model([1, 1, -1], [0.3, 0.4, 0.5])
-        assert predict_adaboost(model, [0.0]) == 1.0
+        assert model.predict_row([0.0]) == 1.0
 
     def test_symmetric_tie_resolves_positive(self):
         model = self._model([1, -1], [0.5, 0.5])
-        assert predict_adaboost(model, [0.0]) == 1.0
+        assert model.predict_row([0.0]) == 1.0
 
 
 class TestAdaboostR2:

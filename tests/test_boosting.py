@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foglink.boosting import fit_gradient_boost, predict_gradient_boost
+from foglink.boosting import fit_gradient_boost
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
 
@@ -74,7 +74,7 @@ def test_staging_identity_is_exact():
 def test_predict_row_matches_batch():
     model = fit_gradient_boost(TEN_POINT, 10, 0.4, 2)
     x = np.array([4.2])
-    assert predict_gradient_boost(model, x) == pytest.approx(
+    assert model.predict_row(x) == pytest.approx(
         float(model.predict(x[None, :])[0]), rel=1e-15)
 
 

@@ -1,9 +1,12 @@
 import csv
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from foglink import adaboost, boosting, cli, stacking
 from foglink.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -215,6 +218,35 @@ class TestTrain:
     def test_requires_data_or_synth(self, tmp_path):
         assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_stacked_reuses_seed_free_fits(self, trained, tmp_path, monkeypatch):
+        """gbr and adbr are fitted once per fold plus once on the full table;
+        the stacked model reuses that full-table fit, and its file is the same
+        as when every final base learner is refitted."""
+        calls = Counter()
+        for fn in (boosting.fit_gradient_boost, adaboost.fit_adaboost_r2):
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+            for module in list(sys.modules.values()):  # every site that imported it
+                if (getattr(module, "__name__", "").startswith("foglink")
+                        and getattr(module, fn.__name__, None) is fn):
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        argv = ["train", "--data", str(trained["data"]), "--config", str(trained["cfg"]),
+                "--seed", "5", "--out-dir"]
+        folds = load_config(str(trained["cfg"])).stack_folds
+
+        assert main(argv + [str(tmp_path / "reuse")]) == EXIT_OK
+        assert calls == {"fit_gradient_boost": folds + 1, "fit_adaboost_r2": folds + 1}
+
+        calls.clear()
+        monkeypatch.setattr(cli, "fit_stacked",
+                            lambda data, cfg, fitted=None: stacking.fit_stacked(data, cfg))
+        assert main(argv + [str(tmp_path / "refit")]) == EXIT_OK
+        assert calls == {"fit_gradient_boost": folds + 2, "fit_adaboost_r2": folds + 2}
+        for run in ("reuse", "refit"):
+            assert ((tmp_path / run / "models" / "stacked.json").read_bytes()
+                    == (trained["out"] / "models" / "stacked.json").read_bytes())
+
 
 class TestEvaluate:
     def test_metrics_schema_and_scores(self, trained):
@@ -263,6 +295,15 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(trained["data"]),
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["config"]["bogus_key"] = 1
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--data", str(trained["data"]),
+                     "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert "bogus_key" in capsys.readouterr().err
+
 
 class TestPredict:
     @pytest.fixture
@@ -308,6 +349,29 @@ class TestPredict:
         feats.write_text("u,v\n0.5,banana\n")
         assert main(["predict", "--model", str(path), "--features", str(feats),
                      "--out", str(tmp_path / "pred.csv")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_parse_error(self, tree_file, tmp_path, capsys, value):
+        path, _, _ = tree_file
+        feats = tmp_path / "feats.csv"
+        feats.write_text(f"u,v\n0.5,0.5\n0.5,{value}\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_missing_field_is_validation_error(self, trained, tmp_path, capsys):
+        payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())
+        del payload["init_value"]
+        model = tmp_path / "gbr.json"
+        model.write_text(json.dumps(payload))
+        feats = tmp_path / "feats.csv"
+        feats.write_text(",".join(payload["feature_names"]) + "\n")
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(tmp_path / "pred.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "gbr.json" in err and "init_value" in err
 
 
 class TestExitCodes:

@@ -5,7 +5,6 @@ from foglink.forest import (
     default_mtry_classification,
     default_mtry_regression,
     fit_random_forest,
-    predict_random_forest,
 )
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
@@ -64,8 +63,8 @@ def test_prediction_is_mean_of_member_trees():
     forest = fit_random_forest(data, 7, 2, 3, seed=9)
     x = np.array([0.3, -0.4])
     member = [tree.predict_row(x) for tree in forest.trees]
-    assert predict_random_forest(forest, x) == pytest.approx(np.mean(member), rel=1e-12)
-    assert min(member) <= predict_random_forest(forest, x) <= max(member)
+    assert forest.predict_row(x) == pytest.approx(np.mean(member), rel=1e-12)
+    assert min(member) <= forest.predict_row(x) <= max(member)
 
 
 def test_forest_smooths_coarse_trees_on_linear_data():

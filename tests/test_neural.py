@@ -9,7 +9,6 @@ from foglink.neural import (
     TrainConfig,
     TrainingError,
     activation,
-    forward,
     gradient_check,
     train,
 )
@@ -40,13 +39,13 @@ class TestForward:
         model = MLPModel(layer_sizes=(3, 2, 1),
                          weights=[np.zeros((3, 2)), np.zeros((2, 1))],
                          biases=[np.zeros(2), np.zeros(1)])
-        assert forward(model, [5.0, -2.0, 7.0]) == 0.0
+        assert model.predict_row([5.0, -2.0, 7.0]) == 0.0
 
     def test_single_sigmoid_neuron_passthrough(self):
         model = MLPModel(layer_sizes=(1, 1, 1),
                          weights=[np.zeros((1, 1)), np.ones((1, 1))],
                          biases=[np.zeros(1), np.zeros(1)])
-        assert forward(model, [123.0]) == pytest.approx(0.5, rel=1e-12)
+        assert model.predict_row([123.0]) == pytest.approx(0.5, rel=1e-12)
 
     def test_hand_evaluated_2_3_1_network(self):
         # pencil-and-paper: z1 = [1.5, 1.5, 0], output 3*sigmoid(1.5) + 1.5 + 0.25
@@ -57,20 +56,20 @@ class TestForward:
         model = MLPModel(layer_sizes=(2, 3, 1), weights=[w1, w2], biases=[b1, c])
         sig = 1.0 / (1.0 + math.exp(-1.5))
         expected = 1.0 * sig + 2.0 * sig + 3.0 * 0.5 + 0.25
-        assert forward(model, [1.0, 2.0]) == pytest.approx(expected, rel=1e-12)
+        assert model.predict_row([1.0, 2.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = MLPModel.initialize((3, 4, 1), seed=0)
         with pytest.raises(ValueError):
-            forward(model, [1.0, 2.0])
+            model.predict_row([1.0, 2.0])
 
     def test_continuity_in_parameters(self):
         model = MLPModel.initialize((2, 5, 1), hidden_activation=ActivationKind.TANH, seed=7)
         x = [0.3, -0.8]
-        base = forward(model, x)
+        base = model.predict_row(x)
         bumped = model.copy()
         bumped.weights[0][0, 0] += 1e-8
-        assert abs(forward(bumped, x) - base) < 1e-4
+        assert abs(bumped.predict_row(x) - base) < 1e-4
 
 
 def linear_table(n=40, seed=0, noise=0.0):

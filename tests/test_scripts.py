@@ -1,0 +1,39 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from foglink.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+COARSE = ("visibility_step_km = 2.5\nrange_step_km = 2.5\nrange_max_km = 5.0\n"
+          "atten_step_db_per_km = 10\n")
+
+
+def test_link_sweeps_model_override_matches_config_key_and_cleans_up(tmp_path):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    script_out = tmp_path / "script"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "run_link_sweeps.py"),
+                    "--config", str(cfg), "--model", "kim", "--out-dir", str(script_out)],
+                   env=env, check=True, capture_output=True)
+    assert list(scratch.iterdir()) == []
+
+    kim_cfg = tmp_path / "kim.cfg"
+    kim_cfg.write_text(COARSE + "attenuation_model = kim\n")
+    for config, out in ((kim_cfg, tmp_path / "kim"), (cfg, tmp_path / "kruse")):
+        for command in ("attenuation-sweep", "link-sweep"):
+            assert main([command, "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in script_out.iterdir())
+    assert len(names) == 6
+    assert names == sorted(p.name for p in (tmp_path / "kim").iterdir())
+    for name in names:
+        assert (script_out / name).read_bytes() == (tmp_path / "kim" / name).read_bytes()
+    # the override took effect: the default model gives another table
+    assert ((script_out / "attenuation_sweep.csv").read_bytes()
+            != (tmp_path / "kruse" / "attenuation_sweep.csv").read_bytes())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,23 @@ def test_save_load_files_byte_identical_for_same_fit(tmp_path, data):
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"model": "perceptron-9000"})
+
+
+def test_missing_field_names_file_and_field(tmp_path, data):
+    path = tmp_path / "gbr.json"
+    save_model(fit_gradient_boost(data, 3, 0.1, 2), path)
+    payload = json.loads(path.read_text())
+    del payload["init_value"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"gbr\.json: missing field 'init_value'"):
+        load_model(path)
+
+
+def test_ill_typed_field_is_value_error(tmp_path, data):
+    path = tmp_path / "tree.json"
+    save_model(fit_regression_tree(data, 2), path)
+    payload = json.loads(path.read_text())
+    payload["root"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"tree\.json: malformed field"):
+        load_model(path)

@@ -9,7 +9,6 @@ from foglink.stacking import (
     build_level1_sample,
     fit_stacked,
     kfold_partition,
-    predict_stacked,
     solve_stacking_weights,
     stack_objective,
 )
@@ -162,7 +161,7 @@ class TestStackedModel:
         # the memorising tree dominates the absurd constant
         assert model.weights[0] == pytest.approx(1.0, abs=1e-6)
         x = data.features[3]
-        assert predict_stacked(model, x) == pytest.approx(
+        assert model.predict_row(x) == pytest.approx(
             model.final_base_learners[0].predict_row(x), rel=1e-6)
 
     def test_agreeing_bases_pass_through(self):
@@ -173,7 +172,7 @@ class TestStackedModel:
             n_features=1)
         from foglink.stacking import _MeanLearner
         model.final_base_learners = [_MeanLearner(4.0), _MeanLearner(4.0)]
-        assert predict_stacked(model, [0.0]) == pytest.approx(4.0, rel=1e-12)
+        assert model.predict_row([0.0]) == pytest.approx(4.0, rel=1e-12)
 
     def test_prediction_inside_base_range(self):
         data = random_table(30, 2, 19)

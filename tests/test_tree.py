@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foglink.tables import LabeledTable
-from foglink.tree import Leaf, Split, fit_regression_tree, predict_tree
+from foglink.tree import Leaf, Split, fit_regression_tree
 
 
 def table(features, targets):
@@ -25,8 +25,8 @@ def test_two_cluster_split():
     assert 1.0 < tree.root.threshold < 10.0
     assert isinstance(tree.root.left, Leaf) and tree.root.left.value == 0.0
     assert isinstance(tree.root.right, Leaf) and tree.root.right.value == 1.0
-    assert predict_tree(tree, [0.5]) == 0.0
-    assert predict_tree(tree, [10.5]) == 1.0
+    assert tree.predict_row([0.5]) == 0.0
+    assert tree.predict_row([10.5]) == 1.0
 
 
 def test_min_leaf_equal_to_rows_gives_mean():
@@ -48,13 +48,13 @@ def test_routing_is_left_on_ties():
     data = table([0.0, 1.0], [0.0, 1.0])
     tree = fit_regression_tree(data, 1)
     # exactly at the threshold routes left
-    assert predict_tree(tree, [tree.root.threshold]) == 0.0
+    assert tree.predict_row([tree.root.threshold]) == 0.0
 
 
 def test_dimension_mismatch_rejected():
     tree = fit_regression_tree(table([0.0, 1.0], [0.0, 1.0]), 1)
     with pytest.raises(ValueError):
-        predict_tree(tree, [0.0, 1.0])
+        tree.predict_row([0.0, 1.0])
     with pytest.raises(ValueError):
         tree.predict(np.zeros((3, 4)))
 
