@@ -52,6 +52,7 @@ from .link_budget import (
     ReceiverNoiseConfig,
     RfBudgetInputs,
     TransceiverConfig,
+    UnattainableBerError,
     achievable_data_rate,
     ber,
     channel_capacity,
@@ -346,8 +347,12 @@ def cmd_link_sweep(args) -> int:
                     f"clear_visibility_km {cfg.clear_visibility_km}")
             fog_beta = extinction_coefficient(
                 OpticalPath(cfg.ber_wavelength_nm, float(length), fog_visibility), model)
-            penalty = power_penalty_db(tx, noise, clear_beta, fog_beta,
-                                       float(length), cfg.target_ber)
+            try:
+                penalty = power_penalty_db(tx, noise, clear_beta, fog_beta,
+                                           float(length), cfg.target_ber)
+            except UnattainableBerError as exc:
+                raise UnattainableBerError(
+                    f"fog class {name} at range {float(length)} km: {exc}") from exc
             rows.append((float(length), name, fog_visibility, penalty))
     _write_csv(out / "power_penalty_vs_range.csv",
                ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"], rows)
@@ -506,6 +511,12 @@ def cmd_evaluate(args) -> int:
     if not manifest_path.exists():
         raise ValidationError(f"manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {manifest_path} is not a JSON object")
+    missing = [key for key in ("config", "source", "seed", "n_rows", "models")
+               if key not in manifest]
+    if missing:
+        raise ValidationError(f"manifest {manifest_path} lacks key(s): {', '.join(missing)}")
     cfg = _run_config({key: tuple(value) if isinstance(value, list) else value
                        for key, value in manifest["config"].items()})
 
@@ -656,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TrainingError, AdaBoostTrainingError, StackingError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, UnattainableBerError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -303,6 +303,9 @@ def power_penalty_db(cfg: TransceiverConfig, noise: ReceiverNoiseConfig,
             photons_per_bit=cfg.photons_per_bit,
         )
         channel_gain = received_power_geometric(unit, atten_db_per_km, range_km)
+        if channel_gain == 0.0:  # the path loss underflowed: no finite power suffices
+            raise UnattainableBerError(
+                f"BER {target_ber} not attainable: the channel gain underflows to 0")
         return p_rx_req / channel_gain
 
     penalty = 10.0 * math.log10(tx_required(fog_beta_per_km) / tx_required(clear_beta_per_km))

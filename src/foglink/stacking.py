@@ -186,11 +186,13 @@ def solve_stacking_weights(level1: LabeledTable) -> np.ndarray:
         return np.full(n_learners, 1.0 / n_learners)
 
     weights = np.full(n_learners, 1.0 / n_learners)
-    objective = float(np.mean((y - F @ weights) ** 2))
+    fitted = F @ weights  # reused by the next step's gradient
+    objective = float(np.mean((y - fitted) ** 2))
     for _ in range(_SOLVER_MAX_ITER):
-        gradient = 2.0 * F.T @ (F @ weights - y) / m
+        gradient = 2.0 * F.T @ (fitted - y) / m
         weights = _project_simplex(weights - gradient / lam)
-        new_objective = float(np.mean((y - F @ weights) ** 2))
+        fitted = F @ weights
+        new_objective = float(np.mean((y - fitted) ** 2))
         if abs(objective - new_objective) < _SOLVER_TOL:
             objective = new_objective
             break

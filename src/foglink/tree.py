@@ -7,6 +7,16 @@ fits are reproducible.  A node stops splitting when it holds at most
 ``min_leaf_size`` rows, its targets have zero variance, the depth cap is
 reached, or no candidate feature admits a split.  Leaves predict the
 (weight-) mean target of their rows.
+
+Each fit sorts every column once; a node carries its rows in sorted order for
+every feature, and a split partitions those lists with one boolean gather,
+which keeps them sorted.  A node scores all candidate features at once from
+prefix and suffix sums.  Those scores carry rounding noise, so the
+cross-feature comparison recomputes each feature's error directly over its
+partition, but only for features whose scanned error lies within a proven
+rounding bound of the smallest; the others cannot win.  The fitted tree is
+the one a per-node sort and a recomputation for every feature would give,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .tables import LabeledTable
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -70,29 +82,6 @@ class RegressionTree:
         return out
 
 
-def _weighted_sse_split(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray):
-    """Best threshold for one pre-sorted feature; returns (sse, threshold)."""
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-    if boundaries.size == 0:
-        return None
-    wy = ws * ys
-    wy2 = wy * ys
-    # prefix sums for the left child, true suffix sums for the right one;
-    # deriving the right side as total-minus-prefix leaks rounding noise into
-    # splits whose exact error is zero, scrambling the documented tie-break
-    cw, cwy, cwy2 = np.cumsum(ws), np.cumsum(wy), np.cumsum(wy2)
-    sw = np.cumsum(ws[::-1])[::-1]
-    swy = np.cumsum(wy[::-1])[::-1]
-    swy2 = np.cumsum(wy2[::-1])[::-1]
-    lw, lwy, lwy2 = cw[boundaries - 1], cwy[boundaries - 1], cwy2[boundaries - 1]
-    rw, rwy, rwy2 = sw[boundaries], swy[boundaries], swy2[boundaries]
-    sse = (np.maximum(lwy2 - lwy * lwy / lw, 0.0)
-           + np.maximum(rwy2 - rwy * rwy / rw, 0.0))
-    j = int(np.argmin(sse))  # first minimum -> lowest threshold
-    pos = boundaries[j]
-    return float(sse[j]), 0.5 * (xs[pos - 1] + xs[pos])
-
-
 def _split_sse(y: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
     total = 0.0
     for rows in (mask, ~mask):
@@ -103,55 +92,143 @@ def _split_sse(y: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
     return total
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                feature_indices: np.ndarray):
-    # Each feature's best threshold comes from the prefix/suffix scan; the
-    # cross-feature comparison re-evaluates that candidate over its actual
-    # partition so two features producing the same partition compare exactly
-    # equal and the lowest-feature-index tie-break holds.
+# Near-tie rule.  For one feature, the scan SSE s (prefix/suffix sums at the
+# chosen boundary) and the rescored SSE r (_split_sse over the same partition)
+# are two roundings of one exact value t.  Take a node of n >= 2 rows,
+# S = sum(w*y^2) over it, u = eps/2, and the model fl(a op b) = (a op b)(1+d),
+# |d| <= u, with no overflow or underflow.  For a child of m rows, with
+# a = sum(w), b = sum(w*y), c = sum(w*y^2): the scan's b and c carry relative
+# error at most (m+1)u and, since (sum w|y|)^2 <= a*c, b^2/a is off by at
+# most (3m+1)u*c, so c - b^2/a is off by at most (4m+3)u*c; the children's c
+# sum to S, giving |s - t| <= (4n+12)u*S.  The rescore's mean is off by some
+# e, and sum(w*(y-mean-e)^2) = t_child + a*e^2 with a*e^2 second order, giving
+# |r - t| <= (n+6)u*S.  So |s - r| <= E = (5n+18)u*S <= 7n*eps*S.  A feature
+# whose scan SSE exceeds another's by more than 2E has the larger rescored SSE
+# too, so it cannot win; only features within 16n*eps*S of the smallest scan
+# SSE need rescoring, and the first strict minimum of their rescored SSEs is
+# the first strict minimum over all features.  An underflowing product or
+# quotient is off by at most 2^-1074 absolute; summed over n terms, scaled by
+# Y = max|y| and divided by a child weight of at least w0 (the smallest
+# positive weight), these stay below 16n^2(1 + Y + W + 1/w0)2^-1074 (W the
+# total weight), which is added to the allowance.  Overflow voids the model:
+# a fit with (W+1)(Y+1) >= 2^500 gets an infinite allowance, so every feature
+# is rescored.
+
+
+def _underflow_allowance(y: np.ndarray, w: np.ndarray) -> float:
+    """Absolute part of the near-tie allowance, taken over the whole fit so it
+    holds for every node; infinite where squares may overflow."""
+    total, top = float(w.sum()), float(np.abs(y).max())
+    if not (total + 1.0) * (top + 1.0) < 2.0 ** 500:
+        return np.inf
+    smallest = float(w[w > 0].min())
+    return 16.0 * y.size * y.size * (1.0 + top + total + 1.0 / smallest) * 2.0 ** -1074
+
+
+def _best_split(columns: np.ndarray, y: np.ndarray, moments: np.ndarray, allowance: float,
+                rows: np.ndarray, sorted_rows: np.ndarray, features: np.ndarray):
+    """(feature, threshold, goes_left over ``rows``) of the best split, or None.
+
+    ``columns`` is the feature matrix transposed and ``moments`` stacks w,
+    w*y and w*y^2 per row.  ``sorted_rows[i]`` holds the node's rows in stable
+    ascending order of ``columns[features[i]]``; ``rows`` holds them in
+    ascending index order.
+    """
+    m, c = rows.size, features.size
+    xs = columns[features[:, None], sorted_rows]
+    # prefix sums of the moments in each feature's order for the left child,
+    # and true suffix sums (accumulated from the far end) for the right one.
+    # Deriving the right side as total-minus-prefix leaks rounding noise into
+    # splits whose exact error is zero, scrambling the documented tie-break.
+    both_ends = np.concatenate((sorted_rows, sorted_rows[:, ::-1]))
+    weight, wy, wy2 = np.add.accumulate(moments.take(both_ends, axis=1), axis=2)
+    # zero-weight rows give 0/0 at positions that are not boundaries too;
+    # NaN at a boundary is handled below like any other score
+    with np.errstate(divide="ignore", invalid="ignore"):
+        child = np.maximum(wy2 - wy * wy / weight, 0.0)
+    # position j splits after the j-th sorted row
+    sse = child[:c, :-1] + child[c:, -2::-1]
+    # only value changes qualify, and argmin keeps the first (lowest-threshold)
+    # minimum, NaN included
+    boundary = xs[:, 1:] > xs[:, :-1]
+    at = np.arange(c)
+    pos = np.where(boundary, sse, np.inf).argmin(axis=1)
+    ok = boundary[at, pos]
+    if not ok.all():  # no boundary, or every boundary scored +inf
+        pos = np.where(ok, pos, boundary.argmax(axis=1))
+        ok = boundary[at, pos]
+        if not ok.any():
+            return None
+        at, pos = at[ok], pos[ok]
+    hi = xs[at, pos + 1]
+    thresholds = 0.5 * (xs[at, pos] + hi)
+    picks = range(at.size)
+    if at.size > 1:
+        scan = sse[at, pos]
+        near = scan - scan.min() <= 16.0 * m * _EPS * float(wy2[0, -1]) + allowance
+        # a NaN scan SSE, or a threshold rounded onto the next value (so the
+        # rescored partition is not the scanned one), voids the bound
+        if near.any() and (thresholds < hi).all():
+            picks = np.flatnonzero(near)
+    if len(picks) == 1:
+        feature = int(features[at[picks[0]]])
+        return feature, thresholds[picks[0]], columns[feature, rows] <= thresholds[picks[0]]
+    # the cross-feature comparison re-evaluates each candidate over its actual
+    # partition, so two features producing the same partition compare exactly
+    # equal and the lowest-feature-index tie-break holds
+    node_y, node_w = y[rows], moments[0, rows]
     best = None
-    for f in feature_indices:
-        order = np.argsort(X[:, f], kind="stable")
-        found = _weighted_sse_split(X[order, f], y[order], w[order])
-        if found is None:
-            continue
-        _, threshold = found
-        sse = _split_sse(y, w, X[:, f] <= threshold)
-        if best is None or sse < best[0]:
-            best = (sse, int(f), threshold)
-    return best
+    for i in picks:
+        feature = int(features[at[i]])
+        goes_left = columns[feature, rows] <= thresholds[i]
+        sse_i = _split_sse(node_y, node_w, goes_left)
+        if best is None or sse_i < best[0]:
+            best = (sse_i, feature, thresholds[i], goes_left)
+    return best[1:]
 
 
 def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
           max_depth: Optional[int], allowed: np.ndarray, mtry: Optional[int],
           rng: Optional[np.random.Generator]) -> TreeNode:
+    # Sort each allowed column once.  A stable sort of the whole column,
+    # restricted to a node's rows, orders them exactly as a stable sort of the
+    # node alone would, because node rows stay in ascending index order.
+    order = np.ascontiguousarray(np.argsort(X[:, allowed], axis=0, kind="stable").T)
+    allowance = _underflow_allowance(y, w)
+    columns = np.ascontiguousarray(X.T)
+    moments = np.stack((w, w * y, w * y * y))
     root_holder = Split(feature=-1, threshold=0.0)
-    # (parent, attach-side, row index array, depth); explicit stack so deep
-    # trees cannot hit the interpreter recursion limit
-    stack = [(root_holder, "left", np.arange(X.shape[0]), 0)]
+    # (parent, attach-side, row indices ascending, per-feature sorted rows,
+    # depth); explicit stack so deep trees cannot hit the recursion limit
+    stack = [(root_holder, "left", np.arange(X.shape[0]), order, 0)]
     while stack:
-        parent, side, rows, depth = stack.pop()
+        parent, side, rows, sorted_rows, depth = stack.pop()
         ys = y[rows]
         stop = (
             rows.size <= min_leaf_size
-            or np.all(ys == ys[0])
+            or (ys == ys[0]).all()
             or (max_depth is not None and depth >= max_depth)
         )
         node: TreeNode
         if not stop:
             if mtry is not None and mtry < allowed.size:
                 chosen = np.sort(rng.choice(allowed, size=mtry, replace=False))
+                chosen_rows = sorted_rows[np.searchsorted(allowed, chosen)]
             else:
-                chosen = allowed
-            found = _best_split(X[rows], ys, w[rows], chosen)
+                chosen, chosen_rows = allowed, sorted_rows
+            found = _best_split(columns, y, moments, allowance, rows, chosen_rows, chosen)
             if found is None:
                 stop = True
             else:
-                _, feature, threshold = found
+                feature, threshold, goes_left = found
                 node = Split(feature=feature, threshold=threshold)
-                goes_left = X[rows, feature] <= threshold
-                stack.append((node, "left", rows[goes_left], depth + 1))
-                stack.append((node, "right", rows[~goes_left], depth + 1))
+                # a boolean gather keeps every feature's list in order
+                in_left = columns[feature].take(sorted_rows) <= threshold
+                k = sorted_rows.shape[0]
+                stack.append((node, "left", rows[goes_left],
+                              sorted_rows[in_left].reshape(k, -1), depth + 1))
+                stack.append((node, "right", rows[~goes_left],
+                              sorted_rows[~in_left].reshape(k, -1), depth + 1))
         if stop:
             ws = w[rows]
             node = Leaf(value=float(np.dot(ws, ys) / ws.sum()))

@@ -5,8 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from reference_tree import reference_grow
 
-from foglink import adaboost, boosting, cli, stacking
+from foglink import adaboost, boosting, cli, stacking, tree
 from foglink.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -102,6 +103,19 @@ def sweep_dir(tmp_path_factory):
 
 
 class TestLinkSweep:
+    @pytest.mark.parametrize("config", [
+        "attenuation_model = kim\n",                          # penalty not finite
+        "attenuation_model = kim\nrange_step_km = 2.5\n",    # channel gain 0
+    ])
+    def test_unattainable_penalty_exits_3_naming_fog_class_and_range(
+            self, tmp_path, capsys, config):
+        cfg = write_cfg(tmp_path, config)
+        assert main(["link-sweep", "--config", cfg, "--out-dir", str(tmp_path)]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "fog class dense at range " in err and " km: BER " in err
+        assert "Traceback" not in err
+
     def test_all_figure_families_emitted(self, sweep_dir):
         for name in ("data_rate_vs_attenuation", "received_power_vs_range",
                      "ber_vs_attenuation", "capacity_vs_range",
@@ -215,6 +229,18 @@ class TestTrain:
         assert "mlp" in manifest["failures"]
         assert sorted(manifest["models"]) == ["adbr", "gbr", "rf", "stacked"]
 
+    def test_models_equal_reference_split_search(self, trained, tmp_path, monkeypatch):
+        """Every model and log of a run whose trees grow through the
+        per-feature reference search is byte-identical to the presorted one."""
+        monkeypatch.setattr(tree, "_grow", reference_grow)
+        out = tmp_path / "reference"
+        assert main(["train", "--data", str(trained["data"]), "--config",
+                     str(trained["cfg"]), "--seed", "5", "--out-dir", str(out)]) == EXIT_OK
+        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(written) == 7
+        for name in written:
+            assert (trained["out"] / name).read_bytes() == (out / name).read_bytes()
+
     def test_requires_data_or_synth(self, tmp_path):
         assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
@@ -294,6 +320,13 @@ class TestEvaluate:
         patched.write_text(json.dumps(manifest))
         assert main(["evaluate", "--data", str(trained["data"]),
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+    def test_manifest_missing_keys_named(self, tmp_path, capsys):
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps({"config": {}, "seed": 0}))
+        assert main(["evaluate", "--manifest", str(patched),
+                     "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert "lacks key(s): source, n_rows, models" in capsys.readouterr().err
 
     def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foglink import stacking
 from foglink.stacking import (
     LearnerSpec,
     StackConfig,
@@ -94,7 +95,39 @@ class TestLevel1:
             build_level1_sample(data, cfg)
 
 
+def reference_solve_weights(level1):
+    """The solver as it was when each step computed F @ weights twice."""
+    F, y = level1.features, level1.targets
+    m, n_learners = F.shape
+    gram = F.T @ F / m
+    v = np.full(n_learners, 1.0 / np.sqrt(n_learners))
+    for _ in range(100):
+        gv = gram @ v
+        v = gv / np.linalg.norm(gv)
+    lam = 2.0 * float(v @ gram @ v) * 1.01
+    weights = np.full(n_learners, 1.0 / n_learners)
+    objective = float(np.mean((y - F @ weights) ** 2))
+    for _ in range(stacking._SOLVER_MAX_ITER):
+        gradient = 2.0 * F.T @ (F @ weights - y) / m
+        weights = stacking._project_simplex(weights - gradient / lam)
+        new_objective = float(np.mean((y - F @ weights) ** 2))
+        if abs(objective - new_objective) < stacking._SOLVER_TOL:
+            break
+        objective = new_objective
+    return weights
+
+
 class TestSolveWeights:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weights_bit_identical_to_two_product_loop(self, seed):
+        # level-1 columns as stacking sees them: close, correlated predictions
+        rng = np.random.default_rng(seed + 400)
+        y = rng.normal(40.0, 5.0, size=200)
+        F = y[:, None] + rng.normal(0.0, 0.5, size=(200, 4)) * [1.0, 0.8, 1.2, 0.3]
+        level1 = LabeledTable(F, y, ("rf", "gbr", "adbr", "tree"))
+        assert (solve_stacking_weights(level1).tobytes()
+                == reference_solve_weights(level1).tobytes())
+
     def test_single_learner(self):
         level1 = LabeledTable(np.ones((5, 1)), np.zeros(5), ("only",))
         assert solve_stacking_weights(level1) == pytest.approx([1.0])

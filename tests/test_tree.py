@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from reference_tree import reference_grow
 
+from foglink import tree as tree_module
+from foglink.serialize import model_to_dict
 from foglink.tables import LabeledTable
 from foglink.tree import Leaf, Split, fit_regression_tree
 
@@ -137,3 +142,114 @@ def test_refit_is_deterministic():
     first = fit_regression_tree(data, 2).predict(grid)
     second = fit_regression_tree(data, 2).predict(grid)
     assert np.array_equal(first, second)
+
+
+# --- the presorted, feature-batched search against the per-feature reference
+
+def fit_both(data, min_leaf_size, rng_seed=None, **kwargs):
+    """The same fit through ``foglink.tree`` and through the reference search,
+    each as its serialized model dict (JSON text, so NaN compares too)."""
+    def fit():
+        if rng_seed is not None:
+            kwargs["_rng"] = np.random.default_rng(rng_seed)
+        return json.dumps(model_to_dict(fit_regression_tree(data, min_leaf_size, **kwargs)))
+
+    fast = fit()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_grow", reference_grow)
+        reference = fit()
+    return fast, reference
+
+
+def awkward_table(seed, n=160):
+    """Random table with the column shapes that stress the tie-break: a
+    duplicated column, a monotone function of another column, a constant
+    column, and coarse columns with many repeated values."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, 4, size=n).astype(float)
+    level = np.round(rng.gamma(2.0, 15.0, size=n), 1)
+    smooth = rng.normal(size=n)
+    X = np.column_stack([
+        coarse,
+        1e9 / (1.0 + level),        # strictly decreasing in `level`
+        level,
+        np.full(n, 0.1),            # constant
+        smooth,
+        level,                      # duplicate of column 2
+        rng.choice([850.0, 1310.0, 1550.0], size=n),
+    ])
+    if seed % 2:
+        # exact function of the features, like the QoS target: many splits
+        # with zero error on one side
+        y = 10.0 * np.log10(X[:, 6]) - 0.3 * level + 2.0 * coarse
+    else:
+        y = np.round(40.0 + 5.0 * smooth - 0.2 * level + rng.normal(size=n), 2)
+    return LabeledTable(X, y, tuple(f"f{i}" for i in range(X.shape[1])))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("min_leaf_size", [1, 3, 10])
+def test_batched_search_matches_reference(seed, min_leaf_size):
+    fast, reference = fit_both(awkward_table(seed), min_leaf_size)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_search_matches_reference_on_bootstrap_rows(seed):
+    data = awkward_table(seed)
+    picked = np.random.default_rng(seed + 50).integers(0, data.n_rows, size=data.n_rows)
+    fast, reference = fit_both(data.subset(picked), 1)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_search_matches_reference_with_tiny_weights(seed):
+    # AdaBoost-style weights spanning 1e-300 to 1, both ends present
+    data = awkward_table(seed)
+    rng = np.random.default_rng(seed + 70)
+    w = 10.0 ** rng.uniform(-300.0, 0.0, size=data.n_rows)
+    w[:3] = 1e-300
+    w[3:6] = 1.0
+    for max_depth in (None, 3):
+        fast, reference = fit_both(data, 2, sample_weight=w, max_depth=max_depth)
+        assert fast == reference
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_search_matches_reference_with_mtry_and_depth_caps(seed):
+    data = awkward_table(seed)
+    for mtry, max_depth in ((2, None), (3, 4), (1, 2)):
+        fast, reference = fit_both(data, 1, rng_seed=seed + 90, _mtry=mtry,
+                                   max_depth=max_depth)
+        assert fast == reference
+    fast, reference = fit_both(data, 2, feature_subset=[1, 2, 5])
+    assert fast == reference
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_search_matches_reference_on_extreme_values():
+    # midpoints that round onto the upper value, subnormal and huge
+    # magnitudes, overflowing squared targets: the near-tie shortcut must fall
+    # back to rescoring.  Such a midpoint can send every row of a node left,
+    # so the depth cap keeps the fit finite.
+    rng = np.random.default_rng(123)
+    one_up = np.nextafter(1.0, 2.0)
+    base = np.array([1.0, one_up, np.nextafter(one_up, 2.0), 5e-324, 1e-323, 1e300, 1.5e308])
+    X = np.column_stack([rng.choice(base, size=60), rng.choice(base, size=60),
+                         rng.normal(size=60)])
+    for y in (rng.normal(size=60), rng.normal(size=60) * 1e200):
+        fast, reference = fit_both(LabeledTable(X, y, ("a", "b", "c")), 1, max_depth=8)
+        assert fast == reference
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_search_matches_reference_when_squares_overflow():
+    # targets near 1e152: prefix sums of w*y squared overflow while sums of
+    # w*y^2 do not, so scan errors are unbounded and every feature is rescored
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        X = rng.integers(0, 4, size=(n, 3)).astype(float)
+        y = 10.0 ** rng.uniform(150, 154) * (1 + 0.3 * rng.normal(size=n))
+        fast, reference = fit_both(LabeledTable(X, y, ("a", "b", "c")), 1, max_depth=6)
+        assert fast == reference
