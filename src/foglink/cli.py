@@ -517,15 +517,29 @@ def cmd_evaluate(args) -> int:
                if key not in manifest]
     if missing:
         raise ValidationError(f"manifest {manifest_path} lacks key(s): {', '.join(missing)}")
+    source, models = manifest["source"], manifest["models"]
+    kind = source.get("kind") if isinstance(source, dict) else None
+    fields = {"csv": {"path": str}, "synth": {"days": int, "stations": list}}
+    bad = [] if kind in fields else ["source.kind ('csv' or 'synth')"]
+    bad += [f"source.{key}" for key, typ in fields.get(kind, {}).items()
+            if not isinstance(source.get(key), typ)
+            or typ is list and not all(isinstance(item, str) for item in source[key])]
+    bad += [key for key, typ in (("config", dict), ("seed", int), ("n_rows", int),
+                                 ("models", dict)) if not isinstance(manifest[key], typ)]
+    if isinstance(models, dict):
+        bad += [f"models.{name}.file" for name, entry in sorted(models.items())
+                if not (isinstance(entry, dict) and isinstance(entry.get("file"), str))]
+    if bad:
+        raise ValidationError(
+            f"manifest {manifest_path} lacks or mistypes field(s): {', '.join(bad)}")
     cfg = _run_config({key: tuple(value) if isinstance(value, list) else value
                        for key, value in manifest["config"].items()})
 
-    source = manifest["source"]
     seed = manifest["seed"]
     if args.data:
         namespace = argparse.Namespace(data=args.data, synth_days=None,
                                        stations=None, seed=seed)
-    elif source["kind"] == "csv":
+    elif kind == "csv":
         namespace = argparse.Namespace(data=source["path"], synth_days=None,
                                        stations=None, seed=seed)
     else:
@@ -541,15 +555,14 @@ def cmd_evaluate(args) -> int:
     test = qos.subset(test_idx)
 
     base = manifest_path.parent
-    missing = [name for name, entry in manifest["models"].items()
-               if not (base / entry["file"]).exists()]
+    missing = [name for name, entry in models.items() if not (base / entry["file"]).exists()]
     if missing:
         raise ValidationError("missing model file(s): " + ", ".join(
-            str(base / manifest["models"][name]["file"]) for name in missing))
+            str(base / models[name]["file"]) for name in missing))
 
     metric_rows, prediction_rows = [], []
-    for name in sorted(manifest["models"]):
-        model = load_model(base / manifest["models"][name]["file"])
+    for name in sorted(models):
+        model = load_model(base / models[name]["file"])
         predicted = model.predict(test.table.features)
         groups = {"all": np.arange(test.table.n_rows)}
         for station in sorted(set(test.stations)):

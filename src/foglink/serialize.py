@@ -1,10 +1,12 @@
 """JSON persistence for every fitted model type.
 
 Each payload carries a ``model`` tag, the fitting hyperparameters, the
-feature names seen at fit time, and the learned structure: trees as nested
-split/leaf objects, networks as row-major weight matrices with their input
-standardisation.  Stacked models embed their base models whole.  Dumps are
-key-sorted, so identical models serialise to identical bytes.
+feature names seen at fit time, and the learned structure: trees as their
+five parallel node lists (``feature``, ``threshold``, ``left``, ``right``,
+``value``, as in ``tree.RegressionTree``), networks as row-major weight
+matrices with their input standardisation.  Stacked models embed their base
+models whole.  Dumps are key-sorted, so identical models serialise to
+identical bytes.  Loading checks that every walk down a tree ends at a leaf.
 """
 
 from __future__ import annotations
@@ -20,24 +22,36 @@ from .boosting import GradientBoostModel
 from .forest import RandomForestModel
 from .neural import ActivationKind, MLPModel
 from .stacking import LearnerSpec, StackedModel, _MeanLearner
-from .tree import Leaf, RegressionTree, Split, TreeNode
+from .tree import RegressionTree
 
 AnyModel = Union[RegressionTree, RandomForestModel, GradientBoostModel,
                  AdaBoostModel, StackedModel, MLPModel]
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"kind": "leaf", "value": node.value}
-    return {"kind": "split", "feature": node.feature, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
+def _nodes(tree: RegressionTree) -> dict:
+    return {"feature": tree.feature, "threshold": tree.threshold, "left": tree.left,
+            "right": tree.right, "value": tree.value}
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if d["kind"] == "leaf":
-        return Leaf(value=float(d["value"]))
-    return Split(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                 left=_node_from_dict(d["left"]), right=_node_from_dict(d["right"]))
+def _tree(d: dict, min_leaf_size: int, n_features: int, names) -> RegressionTree:
+    """The tree whose node lists ``d`` holds.  A split's feature must index a
+    column and its children must come after it, so no walk revisits a node."""
+    feature = [int(f) for f in d["feature"]]
+    left = [int(i) for i in d["left"]]
+    right = [int(i) for i in d["right"]]
+    threshold = [float(t) for t in d["threshold"]]
+    value = [float(v) for v in d["value"]]
+    n = len(feature)
+    lengths = [len(column) for column in (feature, threshold, left, right, value)]
+    if n == 0 or lengths.count(n) != 5:
+        raise ValueError(f"tree node lists must share one nonzero length, got {lengths}")
+    for i, (f, lo, hi) in enumerate(zip(feature, left, right)):
+        if f != -1 and not (0 <= f < n_features and i < lo < n and i < hi < n):
+            raise ValueError(
+                f"tree node {i} splits on feature {f} into nodes {lo} and {hi}; "
+                f"need a feature in [0, {n_features}) and children in ({i}, {n})")
+    return RegressionTree(feature, threshold, left, right, value, min_leaf_size,
+                          n_features, names)
 
 
 def _names(model) -> Any:
@@ -48,25 +62,25 @@ def model_to_dict(model: AnyModel) -> dict:
     if isinstance(model, RegressionTree):
         return {"model": "regression_tree", "min_leaf_size": model.min_leaf_size,
                 "n_features": model.n_features, "feature_names": _names(model),
-                "root": _node_to_dict(model.root)}
+                **_nodes(model)}
     if isinstance(model, RandomForestModel):
         return {"model": "random_forest", "seed": model.bootstrap_seed,
                 "mtry": model.mtry, "min_leaf_size": model.min_leaf_size,
                 "oob_error": model.oob_error, "n_features": model.n_features,
                 "feature_names": _names(model),
-                "trees": [_node_to_dict(t.root) for t in model.trees]}
+                "trees": [_nodes(t) for t in model.trees]}
     if isinstance(model, GradientBoostModel):
         return {"model": "gradient_boost", "init_value": model.init_value,
                 "learning_rate": model.learning_rate,
                 "min_leaf_size": model.min_leaf_size, "n_features": model.n_features,
                 "feature_names": _names(model),
-                "trees": [_node_to_dict(t.root) for t in model.trees]}
+                "trees": [_nodes(t) for t in model.trees]}
     if isinstance(model, AdaBoostModel):
         if model.mode is AdaBoostMode.BINARY_CLASSIFIER:
             learners = [{"feature": s.feature, "threshold": s.threshold,
                          "polarity": s.polarity} for s in model.weak_learners]
         else:
-            learners = [_node_to_dict(t.root) for t in model.weak_learners]
+            learners = [_nodes(t) for t in model.weak_learners]
         return {"model": "adaboost", "mode": model.mode.value,
                 "alphas": list(model.alphas), "round_errors": model.round_errors,
                 "n_features": model.n_features, "feature_names": _names(model),
@@ -94,13 +108,9 @@ def model_from_dict(d: dict) -> AnyModel:
     kind = d.get("model")
     names = tuple(d["feature_names"]) if d.get("feature_names") is not None else None
     if kind == "regression_tree":
-        return RegressionTree(root=_node_from_dict(d["root"]),
-                              min_leaf_size=int(d["min_leaf_size"]),
-                              n_features=int(d["n_features"]), feature_names=names)
+        return _tree(d, int(d["min_leaf_size"]), int(d["n_features"]), names)
     if kind == "random_forest":
-        trees = [RegressionTree(root=_node_from_dict(n),
-                                min_leaf_size=int(d["min_leaf_size"]),
-                                n_features=int(d["n_features"]), feature_names=names)
+        trees = [_tree(n, int(d["min_leaf_size"]), int(d["n_features"]), names)
                  for n in d["trees"]]
         return RandomForestModel(trees=trees, mtry=int(d["mtry"]),
                                  min_leaf_size=int(d["min_leaf_size"]),
@@ -108,9 +118,7 @@ def model_from_dict(d: dict) -> AnyModel:
                                  oob_error=d["oob_error"],
                                  n_features=int(d["n_features"]), feature_names=names)
     if kind == "gradient_boost":
-        trees = [RegressionTree(root=_node_from_dict(n),
-                                min_leaf_size=int(d["min_leaf_size"]),
-                                n_features=int(d["n_features"]), feature_names=names)
+        trees = [_tree(n, int(d["min_leaf_size"]), int(d["n_features"]), names)
                  for n in d["trees"]]
         return GradientBoostModel(init_value=float(d["init_value"]), trees=trees,
                                   learning_rate=float(d["learning_rate"]),
@@ -122,10 +130,7 @@ def model_from_dict(d: dict) -> AnyModel:
             learners = [Stump(int(s["feature"]), float(s["threshold"]), int(s["polarity"]))
                         for s in d["learners"]]
         else:
-            learners = [RegressionTree(root=_node_from_dict(n), min_leaf_size=1,
-                                       n_features=int(d["n_features"]),
-                                       feature_names=names)
-                        for n in d["learners"]]
+            learners = [_tree(n, 1, int(d["n_features"]), names) for n in d["learners"]]
         return AdaBoostModel(weak_learners=learners,
                              alphas=[float(a) for a in d["alphas"]], mode=mode,
                              n_features=int(d["n_features"]), feature_names=names,
@@ -157,10 +162,13 @@ def save_model(model: AnyModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> AnyModel:
-    """Read a model file; a missing or ill-typed field is a ValueError."""
+    """Read a model file; a missing, ill-typed or invalid field is a
+    ValueError naming the file."""
     try:
         return model_from_dict(json.loads(Path(path).read_text()))
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"model file {path}: malformed field ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from exc

@@ -1,10 +1,12 @@
 """CART regression trees grown by greedy squared-error splitting.
 
 Split candidates are midpoints between consecutive distinct sorted feature
-values.  The best split minimises the summed within-child squared error;
-ties break toward the lowest feature index, then the lowest threshold, so
-fits are reproducible.  A node stops splitting when it holds at most
-``min_leaf_size`` rows, its targets have zero variance, the depth cap is
+values; where the midpoint rounds onto the upper value (adjacent doubles,
+subnormals, or an overflowing sum) the lower value is the threshold, which
+gives the same partition.  The best split minimises the summed within-child
+squared error; ties break toward the lowest feature index, then the lowest
+threshold, so fits are reproducible.  A node stops splitting when it holds at
+most ``min_leaf_size`` rows, its targets have zero variance, the depth cap is
 reached, or no candidate feature admits a split.  Leaves predict the
 (weight-) mean target of their rows.
 
@@ -22,7 +24,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,26 +32,29 @@ from .tables import LabeledTable
 
 _EPS = float(np.finfo(float).eps)
 
-
-@dataclass
-class Leaf:
-    value: float
-
-
-@dataclass
-class Split:
-    feature: int
-    threshold: float
-    left: Union["Split", Leaf, None] = None
-    right: Union["Split", Leaf, None] = None
-
-
-TreeNode = Union[Split, Leaf]
+# feature, threshold, left, right and value of a node that is a leaf so far
+_LEAF = (-1, 0.0, -1, -1, 0.0)
 
 
 @dataclass
 class RegressionTree:
-    root: TreeNode
+    """A fitted tree as parallel node lists (the layout of scikit-learn's
+    ``tree_``); node 0 is the root.
+
+    Node ``i`` sends a row ``x`` with ``x[feature[i]] <= threshold[i]`` to
+    ``left[i]`` and any other row to ``right[i]``.  ``feature[i] == -1`` marks
+    a leaf, which predicts ``value[i]``; the other lists hold unused slots
+    there (and ``value`` does at splits).  Every child index is greater than
+    its parent's, so a walk from the root always ends at a leaf.  The lists
+    are plain Python lists: indexing them yields Python scalars, which keeps
+    the per-row walk of ``predict_row`` fast.
+    """
+
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    value: list[float]
     min_leaf_size: int
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
@@ -58,28 +63,44 @@ class RegressionTree:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        node = self.root
-        while isinstance(node, Split):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
+        x = x.tolist()  # compare Python floats, not numpy scalars
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        node, f = 0, feature[0]
+        while f >= 0:
+            node = left[node] if x[f] <= threshold[node] else right[node]
+            f = feature[node]
+        return self.value[node]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (m, {self.n_features}) feature matrix, got {X.shape}")
         out = np.empty(X.shape[0])
-        stack: list[tuple[TreeNode, np.ndarray]] = [(self.root, np.arange(X.shape[0]))]
+        stack = [(0, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
-            if isinstance(node, Leaf):
-                out[idx] = node.value
+            feature = self.feature[node]
+            if feature < 0:
+                out[idx] = self.value[node]
             else:
-                goes_left = X[idx, node.feature] <= node.threshold
-                stack.append((node.left, idx[goes_left]))
-                stack.append((node.right, idx[~goes_left]))
+                goes_left = X[idx, feature] <= self.threshold[node]
+                stack.append((self.left[node], idx[goes_left]))
+                stack.append((self.right[node], idx[~goes_left]))
         return out
+
+
+def _split_leaf(nodes: tuple[list, ...], node: int, feature: int, threshold: float) -> int:
+    """Turn leaf ``node`` of the node lists into a split over two new leaves;
+    return the left leaf's index, which the right one follows."""
+    child = len(nodes[0])
+    for column, blank in zip(nodes, _LEAF):
+        column += (blank, blank)
+    feature_of, threshold_of, left_of, right_of, _ = nodes
+    feature_of[node], threshold_of[node] = feature, float(threshold)
+    left_of[node], right_of[node] = child, child + 1
+    return child
 
 
 def _split_sse(y: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
@@ -160,15 +181,17 @@ def _best_split(columns: np.ndarray, y: np.ndarray, moments: np.ndarray, allowan
         if not ok.any():
             return None
         at, pos = at[ok], pos[ok]
-    hi = xs[at, pos + 1]
-    thresholds = 0.5 * (xs[at, pos] + hi)
+    lo, hi = xs[at, pos], xs[at, pos + 1]
+    thresholds = 0.5 * (lo + hi)
+    # a midpoint that rounds onto hi would send hi's rows left too; lo splits
+    # exactly where the scan did
+    thresholds = np.where(thresholds < hi, thresholds, lo)
     picks = range(at.size)
     if at.size > 1:
         scan = sse[at, pos]
         near = scan - scan.min() <= 16.0 * m * _EPS * float(wy2[0, -1]) + allowance
-        # a NaN scan SSE, or a threshold rounded onto the next value (so the
-        # rescored partition is not the scanned one), voids the bound
-        if near.any() and (thresholds < hi).all():
+        # a NaN scan SSE voids the bound
+        if near.any():
             picks = np.flatnonzero(near)
     if len(picks) == 1:
         feature = int(features[at[picks[0]]])
@@ -189,7 +212,8 @@ def _best_split(columns: np.ndarray, y: np.ndarray, moments: np.ndarray, allowan
 
 def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
           max_depth: Optional[int], allowed: np.ndarray, mtry: Optional[int],
-          rng: Optional[np.random.Generator]) -> TreeNode:
+          rng: Optional[np.random.Generator]) -> tuple[list, ...]:
+    """The fitted tree's five node lists (see ``RegressionTree``)."""
     # Sort each allowed column once.  A stable sort of the whole column,
     # restricted to a node's rows, orders them exactly as a stable sort of the
     # node alone would, because node rows stay in ascending index order.
@@ -197,19 +221,19 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
     allowance = _underflow_allowance(y, w)
     columns = np.ascontiguousarray(X.T)
     moments = np.stack((w, w * y, w * y * y))
-    root_holder = Split(feature=-1, threshold=0.0)
-    # (parent, attach-side, row indices ascending, per-feature sorted rows,
-    # depth); explicit stack so deep trees cannot hit the recursion limit
-    stack = [(root_holder, "left", np.arange(X.shape[0]), order, 0)]
+    nodes = tuple([blank] for blank in _LEAF)
+    value = nodes[-1]
+    # (node, row indices ascending, per-feature sorted rows, depth); explicit
+    # stack so deep trees cannot hit the recursion limit
+    stack = [(0, np.arange(X.shape[0]), order, 0)]
     while stack:
-        parent, side, rows, sorted_rows, depth = stack.pop()
+        node, rows, sorted_rows, depth = stack.pop()
         ys = y[rows]
         stop = (
             rows.size <= min_leaf_size
             or (ys == ys[0]).all()
             or (max_depth is not None and depth >= max_depth)
         )
-        node: TreeNode
         if not stop:
             if mtry is not None and mtry < allowed.size:
                 chosen = np.sort(rng.choice(allowed, size=mtry, replace=False))
@@ -221,19 +245,18 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
                 stop = True
             else:
                 feature, threshold, goes_left = found
-                node = Split(feature=feature, threshold=threshold)
+                child = _split_leaf(nodes, node, feature, threshold)
                 # a boolean gather keeps every feature's list in order
                 in_left = columns[feature].take(sorted_rows) <= threshold
                 k = sorted_rows.shape[0]
-                stack.append((node, "left", rows[goes_left],
+                stack.append((child, rows[goes_left],
                               sorted_rows[in_left].reshape(k, -1), depth + 1))
-                stack.append((node, "right", rows[~goes_left],
+                stack.append((child + 1, rows[~goes_left],
                               sorted_rows[~in_left].reshape(k, -1), depth + 1))
         if stop:
             ws = w[rows]
-            node = Leaf(value=float(np.dot(ws, ys) / ws.sum()))
-        setattr(parent, side, node)
-    return root_holder.left
+            value[node] = float(np.dot(ws, ys) / ws.sum())
+    return nodes
 
 
 def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
@@ -264,7 +287,7 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
         w = np.asarray(sample_weight, dtype=float)
         if w.shape != (data.n_rows,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
-    root = _grow(data.features, data.targets, w, min_leaf_size, max_depth,
-                 allowed, _mtry, _rng)
-    return RegressionTree(root=root, min_leaf_size=min_leaf_size,
+    nodes = _grow(data.features, data.targets, w, min_leaf_size, max_depth,
+                  allowed, _mtry, _rng)
+    return RegressionTree(*nodes, min_leaf_size=min_leaf_size,
                           n_features=data.n_features, feature_names=data.feature_names)

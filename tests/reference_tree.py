@@ -4,15 +4,15 @@ This is the search ``foglink.tree`` used before it presorted each column once
 per fit and scored all features in one batch: every node argsorts each
 candidate feature, scans it for its best threshold, and rescores every
 feature's candidate over its actual partition.  ``reference_grow`` has the
-signature of ``foglink.tree._grow``, so a test can substitute it there and
-fit through the same input checks.
+signature of ``foglink.tree._grow`` and builds the same node lists, so a test
+can substitute it there and fit through the same input checks.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from foglink.tree import Leaf, Split
+from foglink.tree import _LEAF, _split_leaf
 
 
 def _weighted_sse_split(xs, ys, ws):
@@ -30,8 +30,9 @@ def _weighted_sse_split(xs, ys, ws):
     sse = (np.maximum(lwy2 - lwy * lwy / lw, 0.0)
            + np.maximum(rwy2 - rwy * rwy / rw, 0.0))
     j = int(np.argmin(sse))
-    pos = boundaries[j]
-    return float(sse[j]), 0.5 * (xs[pos - 1] + xs[pos])
+    lo, hi = xs[boundaries[j] - 1], xs[boundaries[j]]
+    midpoint = 0.5 * (lo + hi)
+    return float(sse[j]), midpoint if midpoint < hi else lo
 
 
 def _split_sse(y, w, mask):
@@ -61,10 +62,10 @@ def _best_split(X, y, w, feature_indices):
 def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
                    allowed: np.ndarray, mtry: Optional[int],
                    rng: Optional[np.random.Generator]):
-    root_holder = Split(feature=-1, threshold=0.0)
-    stack = [(root_holder, "left", np.arange(X.shape[0]), 0)]
+    nodes = tuple([blank] for blank in _LEAF)
+    stack = [(0, np.arange(X.shape[0]), 0)]
     while stack:
-        parent, side, rows, depth = stack.pop()
+        node, rows, depth = stack.pop()
         ys = y[rows]
         stop = (
             rows.size <= min_leaf_size
@@ -81,12 +82,11 @@ def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
                 stop = True
             else:
                 _, feature, threshold = found
-                node = Split(feature=feature, threshold=threshold)
+                child = _split_leaf(nodes, node, feature, threshold)
                 goes_left = X[rows, feature] <= threshold
-                stack.append((node, "left", rows[goes_left], depth + 1))
-                stack.append((node, "right", rows[~goes_left], depth + 1))
+                stack.append((child, rows[goes_left], depth + 1))
+                stack.append((child + 1, rows[~goes_left], depth + 1))
         if stop:
             ws = w[rows]
-            node = Leaf(value=float(np.dot(ws, ys) / ws.sum()))
-        setattr(parent, side, node)
-    return root_holder.left
+            nodes[-1][node] = float(np.dot(ws, ys) / ws.sum())
+    return nodes

@@ -18,7 +18,7 @@ from foglink.cli import (
     main,
 )
 from foglink.dataset import parse_visibility_csv
-from foglink.serialize import save_model
+from foglink.serialize import load_model, save_model
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
 
@@ -241,6 +241,12 @@ class TestTrain:
         for name in written:
             assert (trained["out"] / name).read_bytes() == (out / name).read_bytes()
 
+    def test_loaded_models_save_to_the_same_bytes(self, trained, tmp_path):
+        for path in sorted((trained["out"] / "models").glob("*.json")):
+            again = tmp_path / path.name
+            save_model(load_model(path), again)
+            assert again.read_bytes() == path.read_bytes(), path.name
+
     def test_requires_data_or_synth(self, tmp_path):
         assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
@@ -328,6 +334,26 @@ class TestEvaluate:
                      "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert "lacks key(s): source, n_rows, models" in capsys.readouterr().err
 
+    def test_manifest_nested_fields_named(self, tmp_path, capsys):
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps({"config": {}, "seed": 0, "source": {}, "n_rows": 1,
+                                       "models": {}}))
+        assert main(["evaluate", "--manifest", str(patched),
+                     "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "field(s): source.kind" in err and "Traceback" not in err
+        csv = {"kind": "csv", "path": "v.csv"}
+        for source, seed, model, named in (({"kind": "csv"}, 0, {"file": "m"}, "source.path"),
+                                           ({"kind": "synth", "days": 2}, 0, {"file": "m"},
+                                            "source.stations"),
+                                           (csv, "x", {"file": "m"}, "seed"),
+                                           (csv, 0, {}, "models.m.file")):
+            patched.write_text(json.dumps({"config": {}, "seed": seed, "source": source,
+                                           "n_rows": 1, "models": {"m": model}}))
+            assert main(["evaluate", "--manifest", str(patched),
+                         "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+            assert f"field(s): {named}" in capsys.readouterr().err
+
     def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())
         manifest["config"]["bogus_key"] = 1
@@ -393,6 +419,24 @@ class TestPredict:
                      "--out", str(out)]) == EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda p: p["left"].__setitem__(0, 0), "children in (0,"),
+        (lambda p: p["right"].__setitem__(0, len(p["right"])), "children in (0,"),
+        (lambda p: p["value"].pop(), "one nonzero length"),
+    ], ids=["self-loop", "child-out-of-range", "length-mismatch"])
+    def test_invalid_tree_nodes_are_validation_errors(self, tree_file, tmp_path, capsys,
+                                                      corrupt, message):
+        path, _, _ = tree_file
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        feats = tmp_path / "feats.csv"
+        feats.write_text("u,v\n0.5,0.5\n")
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(tmp_path / "pred.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "tree.json" in err and message in err and "Traceback" not in err
 
     def test_model_missing_field_is_validation_error(self, trained, tmp_path, capsys):
         payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())

@@ -10,7 +10,7 @@ from foglink.neural import ActivationKind, MLPModel, TrainConfig, train
 from foglink.serialize import load_model, model_from_dict, model_to_dict, save_model
 from foglink.stacking import LearnerSpec, StackConfig, fit_stacked
 from foglink.tables import LabeledTable
-from foglink.tree import fit_regression_tree
+from foglink.tree import RegressionTree, fit_regression_tree
 
 
 @pytest.fixture
@@ -102,6 +102,26 @@ def test_save_load_files_byte_identical_for_same_fit(tmp_path, data):
         assert np.array_equal(loaded.predict(grid), fit().predict(grid))
 
 
+def test_deep_tree_round_trip(tmp_path):
+    # a chain 2,000 splits deep: split k sends x <= k to a leaf valued k
+    depth = 2000
+    feature = [0, -1] * depth + [-1]
+    threshold = [t for k in range(depth) for t in (float(k), 0.0)] + [0.0]
+    left = [i for k in range(depth) for i in (2 * k + 1, -1)] + [-1]
+    right = [i for k in range(depth) for i in (2 * k + 2, -1)] + [-1]
+    value = [v for k in range(depth) for v in (0.0, float(k))] + [float(depth)]
+    model = RegressionTree(feature, threshold, left, right, value, 1, 1, ("x",))
+    path = tmp_path / "deep.json"
+    save_model(model, path)
+    clone = load_model(path)
+    grid = np.linspace(-1.0, depth + 1.0, 4003)[:, None]
+    expected = np.minimum(np.ceil(np.maximum(grid[:, 0], 0.0)), depth)
+    assert np.array_equal(model.predict(grid), expected)
+    assert np.array_equal(clone.predict(grid), expected)
+    rows = grid[::97]
+    assert [clone.predict_row(x) for x in rows] == [model.predict_row(x) for x in rows]
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"model": "perceptron-9000"})
@@ -121,7 +141,7 @@ def test_ill_typed_field_is_value_error(tmp_path, data):
     path = tmp_path / "tree.json"
     save_model(fit_regression_tree(data, 2), path)
     payload = json.loads(path.read_text())
-    payload["root"] = None
+    payload["feature"] = None
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"tree\.json: malformed field"):
         load_model(path)

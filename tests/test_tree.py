@@ -7,7 +7,7 @@ from reference_tree import reference_grow
 from foglink import tree as tree_module
 from foglink.serialize import model_to_dict
 from foglink.tables import LabeledTable
-from foglink.tree import Leaf, Split, fit_regression_tree
+from foglink.tree import fit_regression_tree
 
 
 def table(features, targets):
@@ -19,17 +19,18 @@ def table(features, targets):
 
 def test_constant_targets_single_leaf():
     tree = fit_regression_tree(table([[0.0], [1.0], [2.0]], [5.0, 5.0, 5.0]), 1)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.value == 5.0
+    assert tree.feature == [-1]
+    assert tree.value == [5.0]
 
 
 def test_two_cluster_split():
     data = table([0.0, 1.0, 10.0, 11.0], [0.0, 0.0, 1.0, 1.0])
     tree = fit_regression_tree(data, 1)
-    assert isinstance(tree.root, Split)
-    assert 1.0 < tree.root.threshold < 10.0
-    assert isinstance(tree.root.left, Leaf) and tree.root.left.value == 0.0
-    assert isinstance(tree.root.right, Leaf) and tree.root.right.value == 1.0
+    assert tree.feature[0] == 0
+    assert 1.0 < tree.threshold[0] < 10.0
+    left, right = tree.left[0], tree.right[0]
+    assert tree.feature[left] == -1 and tree.value[left] == 0.0
+    assert tree.feature[right] == -1 and tree.value[right] == 1.0
     assert tree.predict_row([0.5]) == 0.0
     assert tree.predict_row([10.5]) == 1.0
 
@@ -37,8 +38,8 @@ def test_two_cluster_split():
 def test_min_leaf_equal_to_rows_gives_mean():
     data = table([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 6.0])
     tree = fit_regression_tree(data, 4)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.value == pytest.approx(3.0)
+    assert tree.feature == [-1]
+    assert tree.value[0] == pytest.approx(3.0)
 
 
 def test_memorises_training_rows_with_min_leaf_one():
@@ -53,7 +54,7 @@ def test_routing_is_left_on_ties():
     data = table([0.0, 1.0], [0.0, 1.0])
     tree = fit_regression_tree(data, 1)
     # exactly at the threshold routes left
-    assert tree.predict_row([tree.root.threshold]) == 0.0
+    assert tree.predict_row([tree.threshold[0]]) == 0.0
 
 
 def test_dimension_mismatch_rejected():
@@ -76,15 +77,7 @@ def test_feature_subset_limits_splits():
     y = X[:, 1] * 10.0  # only feature 1 is informative
     data = LabeledTable(X, y, ("noise", "signal"))
     tree = fit_regression_tree(data, 5, feature_subset=[0])
-
-    def features_used(node, found):
-        if isinstance(node, Split):
-            found.add(node.feature)
-            features_used(node.left, found)
-            features_used(node.right, found)
-        return found
-
-    assert features_used(tree.root, set()) <= {0}
+    assert set(tree.feature) <= {-1, 0}
 
 
 def test_feature_subset_out_of_range_rejected():
@@ -100,17 +93,17 @@ def test_max_depth_caps_tree():
     tree = fit_regression_tree(LabeledTable(X, y, ("a", "b")), 1, max_depth=2)
 
     def depth(node):
-        if isinstance(node, Leaf):
+        if tree.feature[node] == -1:
             return 0
-        return 1 + max(depth(node.left), depth(node.right))
+        return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
 
-    assert depth(tree.root) <= 2
+    assert depth(0) <= 2
 
 
 def test_sample_weight_shifts_leaf_values():
     data = table([0.0, 1.0], [0.0, 10.0])
     heavy_right = fit_regression_tree(data, 2, sample_weight=np.array([1.0, 3.0]))
-    assert heavy_right.root.value == pytest.approx(7.5)
+    assert heavy_right.value[0] == pytest.approx(7.5)
 
 
 def test_integer_weights_match_duplicated_rows():
@@ -130,7 +123,17 @@ def test_tie_break_prefers_lowest_feature_index():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = fit_regression_tree(LabeledTable(X, y, ("a", "b")), 1)
-    assert tree.root.feature == 0
+    assert tree.feature[0] == 0
+
+
+def test_midpoint_rounding_onto_upper_value_splits_at_lower():
+    # 0.5 * ((1 + 2**-52) + (1 + 2**-51)) rounds to 1 + 2**-51, which would
+    # send every row left; the lower value gives the scanned partition
+    X = [0.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]
+    tree = fit_regression_tree(table(X, [0.0, 0.0, 1.0]), 1, max_depth=4)
+    assert tree.threshold[0] == 1.0 + 2.0 ** -52
+    assert np.isfinite(tree.value).all()
+    assert tree.predict(np.array(X)[:, None]).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_refit_is_deterministic():
