@@ -75,9 +75,6 @@ EXIT_PARSE = 4
 EXIT_TRAINING = 5
 
 MODEL_NAMES = ("rf", "gbr", "adbr", "stacked", "mlp")
-# Learners whose fit draws no random numbers: the stacked model reuses their
-# full-table fits rather than refitting them.
-SEED_FREE = ("gbr", "adbr")
 METRIC_HEADER = ["model", "location", "n", "MSE", "MAE", "MAPE", "RMSE", "R2"]
 
 
@@ -204,11 +201,21 @@ def _coerce(name: str, default, text: str):
 
 
 def _run_config(values: dict) -> RunConfig:
-    """The defaults with ``values`` applied; every key must be a RunConfig field."""
+    """The defaults with ``values`` applied; every key must be a RunConfig
+    field, and every float or float-tuple field must hold finite numbers."""
     unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    return replace(RunConfig(), **values)
+    cfg = replace(RunConfig(), **values)
+    for f in fields(RunConfig):
+        if isinstance(f.default, (float, tuple)):
+            value = getattr(cfg, f.name)
+            numbers = value if isinstance(f.default, tuple) else (value,)
+            if not (isinstance(numbers, tuple) and all(
+                    isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)):
+                raise ValidationError(
+                    f"config key {f.name}: need finite numbers, got {value!r}")
+    return cfg
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -279,6 +286,8 @@ def cmd_link_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     model = cfg.model()
+    if not cfg.wavelengths_nm or not cfg.tx_powers_w:
+        raise ValidationError("empty wavelength or transmit power grid")
     noise = cfg.noise()
     tx = cfg.transceiver()
     attens = _grid(cfg.atten_min_db_per_km, cfg.atten_max_db_per_km, cfg.atten_step_db_per_km)
@@ -445,11 +454,12 @@ def cmd_train(args) -> int:
                 if name == "rf":
                     hyperparameters["seed"] = args.seed
             elif name == "stacked":
+                # the stack fits with --seed too, so it reuses the fits above
                 stack = StackConfig(
                     (*specs.values(), LearnerSpec("tree", {"min_leaf_size": cfg.rf_min_leaf})),
                     cfg.stack_folds, args.seed)
-                model = fit_stacked(table, stack, {specs[n].label: fitted[n]
-                                                   for n in SEED_FREE if n in fitted})
+                model = fit_stacked(table, stack, {spec.label: fitted[n]
+                                                   for n, spec in specs.items() if n in fitted})
                 hyperparameters = {"n_folds": stack.n_folds, "seed": stack.seed,
                                    "base": [spec.kind for spec in stack.base_learner_specs]}
             else:

@@ -138,10 +138,13 @@ def model_from_dict(d: dict) -> AnyModel:
     if kind == "stacked":
         specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]),
                                   name=s.get("name")) for s in d["specs"])
-        return StackedModel(
-            final_base_learners=[model_from_dict(m) for m in d["base_models"]],
-            weights=np.asarray(d["weights"], dtype=float), specs=specs,
-            n_features=int(d["n_features"]), feature_names=names)
+        base = [model_from_dict(m) for m in d["base_models"]]
+        weights = np.asarray(d["weights"], dtype=float)
+        if weights.shape != (len(base),):
+            raise ValueError(f"stacked model has {weights.size} weights for "
+                             f"{len(base)} base models")
+        return StackedModel(final_base_learners=base, weights=weights, specs=specs,
+                            n_features=int(d["n_features"]), feature_names=names)
     if kind == "constant":
         return _MeanLearner(float(d["value"]))
     if kind == "mlp":

@@ -4,16 +4,20 @@ Rows are split into H folds; every base learner is fitted H times, each time
 on the complement of one fold, and its held-out predictions fill one column
 of the level-1 sample, so no learner ever scores a row it trained on.  The
 meta-learner minimises the squared error of a convex combination of the
-level-1 columns -- weights nonnegative and summing to one -- which keeps
+level-1 columns -- weights nonnegative and summing to one, the constrained
+least squares of Breiman's *Stacked Regressions* (1996) -- which keeps
 stacked predictions inside the range of the base predictions and guarantees
-the meta objective is no worse than the best single learner.  Final base
-learners are refitted on all rows for prediction time, except those the
-caller has already fitted on all rows and hands over.
+the meta objective is no worse than the best single learner.  The weights
+are solved exactly by enumerating the supports of the simplex, so at most
+``MAX_BASE_LEARNERS`` learners may be stacked.  Final base learners are
+fitted on all rows with the stacking seed, except those the caller has
+already fitted that way and hands over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -24,8 +28,8 @@ from .forest import default_mtry_regression, fit_random_forest
 from .tables import LabeledTable
 from .tree import fit_regression_tree
 
-_SOLVER_TOL = 1e-12
-_SOLVER_MAX_ITER = 10_000
+# 2**10 - 1 = 1,023 supports to enumerate in the weight solve
+MAX_BASE_LEARNERS = 10
 
 
 class StackingError(RuntimeError):
@@ -56,8 +60,9 @@ class StackConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.base_learner_specs) < 1:
-            raise ValueError("need at least one base learner")
+        if not 1 <= len(self.base_learner_specs) <= MAX_BASE_LEARNERS:
+            raise ValueError(f"need 1 to {MAX_BASE_LEARNERS} base learners, "
+                             f"got {len(self.base_learner_specs)}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be at least 2, got {self.n_folds}")
 
@@ -120,16 +125,13 @@ def kfold_partition(m: int, n_folds: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-def _learner_seeds(cfg: StackConfig, n_folds: int) -> np.ndarray:
-    n_specs = len(cfg.base_learner_specs)
-    return np.random.default_rng(cfg.seed).integers(
-        0, 2 ** 31 - 1, size=(n_specs, n_folds + 1))
-
-
 def build_level1_sample(data: LabeledTable, cfg: StackConfig) -> LabeledTable:
     """Out-of-fold base predictions as an m x L table with unchanged targets."""
     folds = kfold_partition(data.n_rows, cfg.n_folds, cfg.seed)
-    seeds = _learner_seeds(cfg, cfg.n_folds)
+    # Learner l fits fold h with seeds[l, h].  The last column goes unused; it
+    # is drawn because the (L, H + 1) shape fixes which value each fold gets.
+    seeds = np.random.default_rng(cfg.seed).integers(
+        0, 2 ** 31 - 1, size=(len(cfg.base_learner_specs), cfg.n_folds + 1))
     columns = np.empty((data.n_rows, len(cfg.base_learner_specs)))
     for l, spec in enumerate(cfg.base_learner_specs):
         for h, fold in enumerate(folds):
@@ -144,15 +146,6 @@ def build_level1_sample(data: LabeledTable, cfg: StackConfig) -> LabeledTable:
     return LabeledTable(columns, data.targets, names)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto {u >= 0, sum u = 1} by the sorting construction.
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > cumulative - 1.0)[0][-1]
-    theta = (cumulative[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def stack_objective(level1: LabeledTable, weights: Sequence[float]) -> float:
     """Sum of squared residuals of the weighted level-1 combination."""
     w = np.asarray(weights, dtype=float)
@@ -161,43 +154,32 @@ def stack_objective(level1: LabeledTable, weights: Sequence[float]) -> float:
 
 
 def solve_stacking_weights(level1: LabeledTable) -> np.ndarray:
-    """Minimise the stacking squared error over the probability simplex.
+    """Exact minimiser of the stacking squared error over the probability simplex.
 
-    Projected gradient descent with fixed step 1/Lambda, Lambda being a power
-    iteration bound on the gradient's Lipschitz constant; stops when the
-    mean-squared objective improves by less than 1e-12 or after 10,000 steps.
+    The minimum lies inside some face of the simplex, where it is the
+    sum-to-one least squares solution on that face's columns.  Each of the
+    2**L - 1 supports is solved with ``lstsq`` on the columns' differences
+    from the support's first column; of the solutions with every weight
+    nonnegative (each vertex is one), the least squared error wins, ties
+    going to the fewest columns, then the lowest column indices.  Weights off
+    the winning support are exactly zero.
     """
-    F = level1.features
-    y = level1.targets
-    m, n_learners = F.shape
-    if n_learners == 1:
-        return np.array([1.0])
-
-    gram = F.T @ F / m
-    v = np.full(n_learners, 1.0 / np.sqrt(n_learners))
-    for _ in range(100):
-        gv = gram @ v
-        norm = np.linalg.norm(gv)
-        if norm == 0.0:
-            return np.full(n_learners, 1.0 / n_learners)
-        v = gv / norm
-    lam = 2.0 * float(v @ gram @ v) * 1.01  # Lipschitz bound for the MSE gradient
-    if lam <= 0.0 or not np.isfinite(lam):
-        return np.full(n_learners, 1.0 / n_learners)
-
-    weights = np.full(n_learners, 1.0 / n_learners)
-    fitted = F @ weights  # reused by the next step's gradient
-    objective = float(np.mean((y - fitted) ** 2))
-    for _ in range(_SOLVER_MAX_ITER):
-        gradient = 2.0 * F.T @ (fitted - y) / m
-        weights = _project_simplex(weights - gradient / lam)
-        fitted = F @ weights
-        new_objective = float(np.mean((y - fitted) ** 2))
-        if abs(objective - new_objective) < _SOLVER_TOL:
-            objective = new_objective
-            break
-        objective = new_objective
-    return weights
+    F, y = level1.features, level1.targets
+    n_learners = F.shape[1]
+    best_sse, best = np.inf, None
+    for size in range(1, n_learners + 1):
+        for support in combinations(range(n_learners), size):
+            first, rest = F[:, support[0]], F[:, support[1:]]
+            tail = np.linalg.lstsq(rest - first[:, None], y - first, rcond=None)[0]
+            weights = np.concatenate(([1.0 - tail.sum()], tail))
+            if np.any(weights < 0):
+                continue
+            residual = y - F[:, support] @ weights
+            sse = float(residual @ residual)
+            if best is None or sse < best_sse:
+                best_sse, best = sse, np.zeros(n_learners)
+                best[list(support)] = weights
+    return best
 
 
 @dataclass
@@ -210,39 +192,38 @@ class StackedModel:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("stacking weights must be nonnegative and sum to one")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("stacking weights must be finite, nonnegative and sum to one")
         object.__setattr__(self, "weights", w)
 
     def predict_row(self, x: Sequence[float]) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        base = np.array([learner.predict_row(x) for learner in self.final_base_learners])
-        return float(self.weights @ base)
+        return float(self.predict(x[None, :])[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Weighted sum of the base predictions; zero-weight learners are skipped."""
         X = np.asarray(X, dtype=float)
-        base = np.stack([learner.predict(X) for learner in self.final_base_learners])
-        return self.weights @ base
+        active = np.flatnonzero(self.weights)
+        base = np.stack([self.final_base_learners[l].predict(X) for l in active])
+        return self.weights[active] @ base
 
 
 def fit_stacked(data: LabeledTable, cfg: StackConfig,
                 fitted: Optional[Mapping[str, object]] = None) -> StackedModel:
-    """Level-1 construction, weight solve, then final refits on all rows.
+    """Level-1 construction, weight solve, then final fits on all rows.
 
-    ``fitted`` maps spec labels to models already fitted on all of ``data``
-    with that spec; those are reused instead of refitted.  Only seed-free
-    learners give the same model either way, since a refit draws its seed
-    from ``cfg.seed``.
+    A final base learner is ``fit_base_learner(spec, data, cfg.seed)``.
+    ``fitted`` maps spec labels to models the caller already fitted exactly
+    so; those are reused instead of fitted again.
     """
     fitted = fitted or {}
     level1 = build_level1_sample(data, cfg)
     weights = solve_stacking_weights(level1)
-    seeds = _learner_seeds(cfg, cfg.n_folds)
     finals = [fitted[spec.label] if spec.label in fitted
-              else fit_base_learner(spec, data, int(seeds[l, cfg.n_folds]))
-              for l, spec in enumerate(cfg.base_learner_specs)]
+              else fit_base_learner(spec, data, cfg.seed)
+              for spec in cfg.base_learner_specs]
     return StackedModel(final_base_learners=finals, weights=weights,
                         specs=tuple(cfg.base_learner_specs),
                         n_features=data.n_features, feature_names=data.feature_names)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from reference_tree import reference_grow
 
-from foglink import adaboost, boosting, cli, stacking, tree
+from foglink import adaboost, boosting, cli, forest, stacking, tree
 from foglink.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -115,6 +115,22 @@ class TestLinkSweep:
         err = capsys.readouterr().err
         assert "fog class dense at range " in err and " km: BER " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        ("tx_power_w = nan\n", "tx_power_w"),
+        ("tx_powers_w = 0.01,nan\n", "tx_powers_w"),
+        ("wavelengths_nm =\n", "empty wavelength or transmit power grid"),
+        ("tx_powers_w =\n", "empty wavelength or transmit power grid"),
+    ], ids=["nan-power", "nan-power-grid", "no-wavelengths", "no-powers"])
+    def test_bad_grid_or_value_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                          config, message):
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["link-sweep", "--config", cfg, "--out-dir", str(out)]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
 
     def test_all_figure_families_emitted(self, sweep_dir):
         for name in ("data_rate_vs_attenuation", "received_power_vs_range",
@@ -251,11 +267,12 @@ class TestTrain:
         assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
     def test_stacked_reuses_seed_free_fits(self, trained, tmp_path, monkeypatch):
-        """gbr and adbr are fitted once per fold plus once on the full table;
-        the stacked model reuses that full-table fit, and its file is the same
-        as when every final base learner is refitted."""
+        """rf, gbr and adbr are fitted once per fold plus once on the full
+        table; the stacked model reuses that full-table fit, and its file is
+        the same as when every final base learner is refitted."""
         calls = Counter()
-        for fn in (boosting.fit_gradient_boost, adaboost.fit_adaboost_r2):
+        for fn in (forest.fit_random_forest, boosting.fit_gradient_boost,
+                   adaboost.fit_adaboost_r2):
             def counted(*args, _fn=fn, **kwargs):
                 calls[_fn.__name__] += 1
                 return _fn(*args, **kwargs)
@@ -266,15 +283,16 @@ class TestTrain:
         argv = ["train", "--data", str(trained["data"]), "--config", str(trained["cfg"]),
                 "--seed", "5", "--out-dir"]
         folds = load_config(str(trained["cfg"])).stack_folds
+        names = ("fit_random_forest", "fit_gradient_boost", "fit_adaboost_r2")
 
         assert main(argv + [str(tmp_path / "reuse")]) == EXIT_OK
-        assert calls == {"fit_gradient_boost": folds + 1, "fit_adaboost_r2": folds + 1}
+        assert calls == {name: folds + 1 for name in names}
 
         calls.clear()
         monkeypatch.setattr(cli, "fit_stacked",
                             lambda data, cfg, fitted=None: stacking.fit_stacked(data, cfg))
         assert main(argv + [str(tmp_path / "refit")]) == EXIT_OK
-        assert calls == {"fit_gradient_boost": folds + 2, "fit_adaboost_r2": folds + 2}
+        assert calls == {name: folds + 2 for name in names}
         for run in ("reuse", "refit"):
             assert ((tmp_path / run / "models" / "stacked.json").read_bytes()
                     == (trained["out"] / "models" / "stacked.json").read_bytes())
@@ -353,6 +371,16 @@ class TestEvaluate:
             assert main(["evaluate", "--manifest", str(patched),
                          "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
             assert f"field(s): {named}" in capsys.readouterr().err
+
+    def test_non_finite_manifest_config_value_named(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["config"]["wavelengths_nm"][0] = float("inf")
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--data", str(trained["data"]),
+                     "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "wavelengths_nm" in err and "Traceback" not in err
 
     def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())
@@ -437,6 +465,25 @@ class TestPredict:
                      "--out", str(tmp_path / "pred.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "tree.json" in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ([float("nan")] * 4, "must be finite"),
+        ([0.5, 0.5], "2 weights for 4 base models"),
+    ], ids=["nan", "too-few"])
+    def test_bad_stacking_weights_are_validation_errors(self, trained, tmp_path, capsys,
+                                                        weights, message):
+        payload = json.loads((trained["out"] / "models" / "stacked.json").read_text())
+        payload["weights"] = weights
+        model = tmp_path / "stacked.json"
+        model.write_text(json.dumps(payload))
+        feats = tmp_path / "feats.csv"
+        feats.write_text(",".join(payload["feature_names"]) + "\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "stacked.json" in err and message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_model_missing_field_is_validation_error(self, trained, tmp_path, capsys):
         payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from foglink import stacking
 from foglink.stacking import (
     LearnerSpec,
     StackConfig,
     StackedModel,
     StackingError,
+    _MeanLearner,
     build_level1_sample,
     fit_stacked,
     kfold_partition,
@@ -95,38 +95,47 @@ class TestLevel1:
             build_level1_sample(data, cfg)
 
 
-def reference_solve_weights(level1):
-    """The solver as it was when each step computed F @ weights twice."""
-    F, y = level1.features, level1.targets
-    m, n_learners = F.shape
-    gram = F.T @ F / m
-    v = np.full(n_learners, 1.0 / np.sqrt(n_learners))
-    for _ in range(100):
-        gv = gram @ v
-        v = gv / np.linalg.norm(gv)
-    lam = 2.0 * float(v @ gram @ v) * 1.01
-    weights = np.full(n_learners, 1.0 / n_learners)
-    objective = float(np.mean((y - F @ weights) ** 2))
-    for _ in range(stacking._SOLVER_MAX_ITER):
-        gradient = 2.0 * F.T @ (F @ weights - y) / m
-        weights = stacking._project_simplex(weights - gradient / lam)
-        new_objective = float(np.mean((y - F @ weights) ** 2))
-        if abs(objective - new_objective) < stacking._SOLVER_TOL:
-            break
-        objective = new_objective
-    return weights
+def grid_objectives(level1):
+    """Stacking objective at every point of the 0.01 grid on the 3-simplex."""
+    grid = np.array([(i, j, 100 - i - j) for i in range(101)
+                     for j in range(101 - i)]) / 100.0
+    residuals = level1.targets[:, None] - level1.features @ grid.T
+    return np.sum(residuals * residuals, axis=0)
 
 
 class TestSolveWeights:
+    @pytest.mark.parametrize("doubled_tree", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_weights_bit_identical_to_two_product_loop(self, seed):
-        # level-1 columns as stacking sees them: close, correlated predictions
+    def test_kkt_conditions_hold(self, seed, doubled_tree):
+        # level-1 columns as stacking sees them: close, correlated predictions;
+        # a column with twice the tree's error must stay off the support
         rng = np.random.default_rng(seed + 400)
         y = rng.normal(40.0, 5.0, size=200)
         F = y[:, None] + rng.normal(0.0, 0.5, size=(200, 4)) * [1.0, 0.8, 1.2, 0.3]
-        level1 = LabeledTable(F, y, ("rf", "gbr", "adbr", "tree"))
-        assert (solve_stacking_weights(level1).tobytes()
-                == reference_solve_weights(level1).tobytes())
+        if doubled_tree:
+            F = np.column_stack([F, 2.0 * F[:, 3] - y])
+        names = tuple(f"c{l}" for l in range(F.shape[1]))
+        weights = solve_stacking_weights(LabeledTable(F, y, names))
+        gradient = F.T @ (F @ weights - y)
+        support = weights > 0
+        tol = 1e-8 * np.abs(gradient).max()
+        level = gradient[support].min()
+        assert np.all(gradient[support] <= level + tol)
+        assert np.all(gradient[~support] >= level - tol)
+        assert list(support) == [True] * 4 + [False] * doubled_tree
+        assert np.all(weights[~support] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_collinear_columns_reach_simplex_optimum(self, seed):
+        # columns = truth + small noise: an ill-conditioned Gram (cond ~ 3e4)
+        rng = np.random.default_rng(seed)
+        y = rng.normal(40.0, 5.0, size=200)
+        F = np.column_stack([y + rng.normal(0.0, s, size=200) for s in (0.3, 0.5, 1.0)])
+        level1 = LabeledTable(F, y, ("a", "b", "c"))
+        solved = stack_objective(level1, solve_stacking_weights(level1))
+        for vertex in np.eye(3):
+            assert solved <= stack_objective(level1, vertex) + 1e-9
+        assert solved <= grid_objectives(level1).min() + 1e-9
 
     def test_single_learner(self):
         level1 = LabeledTable(np.ones((5, 1)), np.zeros(5), ("only",))
@@ -140,6 +149,7 @@ class TestSolveWeights:
         weights = solve_stacking_weights(level1)
         single = float(np.sum((y - col) ** 2))
         assert stack_objective(level1, weights) == pytest.approx(single, rel=1e-9)
+        assert weights.tolist() == [1.0, 0.0]  # ties go to the fewest, lowest columns
 
     def test_exact_column_takes_all_weight(self):
         rng = np.random.default_rng(15)
@@ -203,9 +213,20 @@ class TestStackedModel:
             weights=np.array([0.25, 0.75]),
             specs=(LearnerSpec("constant"), LearnerSpec("constant")),
             n_features=1)
-        from foglink.stacking import _MeanLearner
         model.final_base_learners = [_MeanLearner(4.0), _MeanLearner(4.0)]
         assert model.predict_row([0.0]) == pytest.approx(4.0, rel=1e-12)
+
+    def test_zero_weight_learners_are_not_evaluated(self):
+        class Unused:
+            def predict(self, X):
+                raise AssertionError("a zero-weight learner was evaluated")
+
+        model = StackedModel(
+            final_base_learners=[_MeanLearner(2.0), Unused(), _MeanLearner(4.0)],
+            weights=np.array([0.5, 0.0, 0.5]), specs=(LearnerSpec("constant"),) * 3,
+            n_features=1)
+        assert model.predict(np.zeros((3, 1))).tolist() == [3.0, 3.0, 3.0]
+        assert model.predict_row([0.0]) == 3.0
 
     def test_prediction_inside_base_range(self):
         data = random_table(30, 2, 19)
@@ -227,6 +248,9 @@ class TestStackedModel:
         with pytest.raises(ValueError):
             StackedModel(final_base_learners=[], weights=np.array([-0.1, 1.1]),
                          specs=(), n_features=1)
+        with pytest.raises(ValueError, match="finite"):
+            StackedModel(final_base_learners=[], weights=np.array([np.nan, np.nan]),
+                         specs=(), n_features=1)
 
     def test_fit_deterministic_given_seed(self):
         data = random_table(24, 2, 29)
@@ -241,5 +265,8 @@ class TestStackedModel:
 def test_config_validation():
     with pytest.raises(ValueError):
         StackConfig((), n_folds=3)
+    StackConfig((LearnerSpec("mean"),) * 10)
+    with pytest.raises(ValueError, match="1 to 10 base learners, got 11"):
+        StackConfig((LearnerSpec("mean"),) * 11)
     with pytest.raises(ValueError):
         StackConfig((LearnerSpec("tree"),), n_folds=1)
