@@ -93,7 +93,6 @@ class RunConfig:
     rx_efficiency: float = 0.8
     tx_aperture_m: float = 0.1
     rx_aperture_m: float = 0.1
-    rx_sensitivity_dbm: float = -40.0
     photons_per_bit: float = 100.0
     # PIN receiver noise
     responsivity_a_per_w: float = 0.7
@@ -161,7 +160,6 @@ class RunConfig:
             tx_power_w=self.tx_power_w, divergence_mrad=self.divergence_mrad,
             tx_efficiency=self.tx_efficiency, rx_efficiency=self.rx_efficiency,
             tx_aperture_m=self.tx_aperture_m, rx_aperture_m=self.rx_aperture_m,
-            rx_sensitivity_dbm=self.rx_sensitivity_dbm,
             photons_per_bit=self.photons_per_bit)
 
     def noise(self) -> ReceiverNoiseConfig:
@@ -189,8 +187,6 @@ def _coerce(name: str, default, text: str):
     try:
         if isinstance(default, tuple):
             return tuple(float(part) for part in text.split(",") if part.strip())
-        if isinstance(default, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
@@ -202,14 +198,17 @@ def _coerce(name: str, default, text: str):
 
 def _run_config(values: dict) -> RunConfig:
     """The defaults with ``values`` applied; every key must be a RunConfig
-    field, and every float or float-tuple field must hold finite numbers."""
+    field, every int field must hold an int, and every float or float-tuple
+    field must hold finite numbers."""
     unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     cfg = replace(RunConfig(), **values)
     for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, int) and type(value) is not int:  # bool is refused too
+            raise ValidationError(f"config key {f.name}: need an integer, got {value!r}")
         if isinstance(f.default, (float, tuple)):
-            value = getattr(cfg, f.name)
             numbers = value if isinstance(f.default, tuple) else (value,)
             if not (isinstance(numbers, tuple) and all(
                     isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)):
@@ -262,109 +261,105 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _rows(*columns):
+    """CSV rows from columns that broadcast together, in C order, as Python
+    scalars (so ``_fmt`` writes each float's repr)."""
+    return zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))
+
+
 def cmd_attenuation_sweep(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args)
     model = cfg.model()
-    visibilities = _grid(cfg.visibility_min_km, cfg.visibility_max_km, cfg.visibility_step_km)
+    visibilities = _grid(cfg.visibility_min_km, cfg.visibility_max_km,
+                         cfg.visibility_step_km)[:, None]
     if visibilities.size == 0 or not cfg.wavelengths_nm:
         raise ValidationError("empty visibility or wavelength grid")
-    rows = []
-    for v in visibilities:
-        for lam in cfg.wavelengths_nm:
-            path = OpticalPath(lam, 0.0, float(v))
-            beta = extinction_coefficient(path, model)
-            rows.append((float(v), lam, particle_size_exponent(float(v), model),
-                         beta, attenuation_db_per_km(path, model)))
-    _write_csv(out / "attenuation_sweep.csv",
+    lams = np.array(cfg.wavelengths_nm)
+    path = OpticalPath(lams, 0.0, visibilities)
+    rows = _rows(visibilities, lams, particle_size_exponent(visibilities, model),
+                 extinction_coefficient(path, model), attenuation_db_per_km(path, model))
+    _write_csv(_out_dir(args) / "attenuation_sweep.csv",
                ["visibility_km", "wavelength_nm", "q", "beta_per_km", "atten_db_per_km"],
                rows)
     return EXIT_OK
 
 
 def cmd_link_sweep(args) -> int:
+    """Compute and check all five curves, then write them; a failure writes nothing."""
     cfg = load_config(args.config)
-    out = _out_dir(args)
     model = cfg.model()
     if not cfg.wavelengths_nm or not cfg.tx_powers_w:
         raise ValidationError("empty wavelength or transmit power grid")
+    fog_classes = cfg.fog_classes()
+    for name, fog_visibility in fog_classes.items():
+        if fog_visibility >= cfg.clear_visibility_km:
+            raise ValidationError(
+                f"fog class {name} visibility {fog_visibility} not below "
+                f"clear_visibility_km {cfg.clear_visibility_km}")
     noise = cfg.noise()
     tx = cfg.transceiver()
-    attens = _grid(cfg.atten_min_db_per_km, cfg.atten_max_db_per_km, cfg.atten_step_db_per_km)
-    ranges = _grid(cfg.range_min_km, cfg.range_max_km, cfg.range_step_km)
+    lams = np.array(cfg.wavelengths_nm)
+    powers = np.array(cfg.tx_powers_w)
+    # curves over attenuation or range put that grid on the row axis
+    attens = _grid(cfg.atten_min_db_per_km, cfg.atten_max_db_per_km,
+                   cfg.atten_step_db_per_km)[:, None]
+    ranges = _grid(cfg.range_min_km, cfg.range_max_km, cfg.range_step_km)[:, None]
+    curves = {}
 
     # data rate vs specific attenuation, one curve per wavelength
-    rows = []
-    for atten in attens:
-        for lam in cfg.wavelengths_nm:
-            p_rx = received_power_geometric(replace(tx, wavelength_nm=lam),
-                                            float(atten), cfg.link_range_km)
-            rate = achievable_data_rate(p_rx, lam, cfg.photons_per_bit, noise)
-            rows.append((float(atten), lam, p_rx, rate))
-    _write_csv(out / "data_rate_vs_attenuation.csv",
-               ["attenuation_db_per_km", "wavelength_nm", "received_power_w",
-                "data_rate_bps"], rows)
+    p_rx = received_power_geometric(tx, attens, cfg.link_range_km)
+    rate = achievable_data_rate(p_rx, lams, cfg.photons_per_bit, noise)
+    curves["data_rate_vs_attenuation.csv"] = (
+        ["attenuation_db_per_km", "wavelength_nm", "received_power_w", "data_rate_bps"],
+        _rows(attens, lams, p_rx, rate))
 
     # received power vs range at the sweep visibility
-    rows = []
-    for length in ranges:
-        for lam in cfg.wavelengths_nm:
-            path = OpticalPath(lam, float(length), cfg.sweep_visibility_km)
-            atten = attenuation_db_per_km(path, model)
-            p_rx = received_power_geometric(replace(tx, wavelength_nm=lam),
-                                            atten, float(length))
-            rows.append((float(length), lam, atten, p_rx, watts_to_dbm(p_rx)))
-    _write_csv(out / "received_power_vs_range.csv",
-               ["range_km", "wavelength_nm", "atten_db_per_km", "received_power_w",
-                "received_power_dbm"], rows)
+    path = OpticalPath(lams, ranges, cfg.sweep_visibility_km)
+    atten = attenuation_db_per_km(path, model)
+    p_rx = received_power_geometric(tx, atten, ranges)
+    curves["received_power_vs_range.csv"] = (
+        ["range_km", "wavelength_nm", "atten_db_per_km", "received_power_w",
+         "received_power_dbm"],
+        _rows(ranges, lams, atten, p_rx, watts_to_dbm(p_rx)))
 
     # BER vs attenuation per transmit power (NRZ, fixed wavelength)
-    rows = []
-    for atten in attens:
-        for power in cfg.tx_powers_w:
-            head = replace(tx, tx_power_w=power, wavelength_nm=cfg.ber_wavelength_nm)
-            p_rx = received_power_geometric(head, float(atten), cfg.link_range_km)
-            snr = electrical_snr_linear(p_rx, noise)
-            rows.append((float(atten), power, p_rx, snr, ber(OokScheme.NRZ, snr)))
-    _write_csv(out / "ber_vs_attenuation.csv",
-               ["attenuation_db_per_km", "tx_power_w", "received_power_w",
-                "snr_linear", "ber_nrz"], rows)
+    p_rx = received_power_geometric(replace(tx, tx_power_w=powers), attens,
+                                    cfg.link_range_km)
+    snr = electrical_snr_linear(p_rx, noise)
+    # ber is scalar-only: math.erfc has no numpy counterpart
+    bers = np.array([ber(OokScheme.NRZ, s) for s in snr.ravel().tolist()]).reshape(snr.shape)
+    curves["ber_vs_attenuation.csv"] = (
+        ["attenuation_db_per_km", "tx_power_w", "received_power_w", "snr_linear", "ber_nrz"],
+        _rows(attens, powers, p_rx, snr, bers))
 
     # Shannon capacity vs range per wavelength, SNR from the dB budget
-    rows = []
-    for length in ranges:
-        for lam in cfg.wavelengths_nm:
-            path = OpticalPath(lam, float(length), cfg.sweep_visibility_km)
-            beta = extinction_coefficient(path, model)
-            total_db = path_attenuation_db(beta, float(length))
-            snr_db = snr_budget_db(replace(cfg.budget(), wavelength_m=lam * 1e-9,
-                                           total_attenuation_db=total_db))
-            capacity = channel_capacity(cfg.electrical_bandwidth_hz, db_to_linear(snr_db))
-            rows.append((float(length), lam, snr_db, capacity))
-    _write_csv(out / "capacity_vs_range.csv",
-               ["range_km", "wavelength_nm", "snr_db", "capacity_bps"], rows)
+    total_db = path_attenuation_db(extinction_coefficient(path, model), ranges)
+    snr_db = snr_budget_db(replace(cfg.budget(), wavelength_m=lams * 1e-9,
+                                   total_attenuation_db=total_db))
+    capacity = channel_capacity(cfg.electrical_bandwidth_hz, db_to_linear(snr_db))
+    curves["capacity_vs_range.csv"] = (
+        ["range_km", "wavelength_nm", "snr_db", "capacity_bps"],
+        _rows(ranges, lams, snr_db, capacity))
 
     # transmit power penalty vs range per fog class
+    names, fog_visibilities = np.array(list(fog_classes)), np.array(list(fog_classes.values()))
     clear_beta = extinction_coefficient(
         OpticalPath(cfg.ber_wavelength_nm, 1.0, cfg.clear_visibility_km), model)
-    rows = []
-    for length in ranges:
-        for name, fog_visibility in cfg.fog_classes().items():
-            if fog_visibility >= cfg.clear_visibility_km:
-                raise ValidationError(
-                    f"fog class {name} visibility {fog_visibility} not below "
-                    f"clear_visibility_km {cfg.clear_visibility_km}")
-            fog_beta = extinction_coefficient(
-                OpticalPath(cfg.ber_wavelength_nm, float(length), fog_visibility), model)
-            try:
-                penalty = power_penalty_db(tx, noise, clear_beta, fog_beta,
-                                           float(length), cfg.target_ber)
-            except UnattainableBerError as exc:
-                raise UnattainableBerError(
-                    f"fog class {name} at range {float(length)} km: {exc}") from exc
-            rows.append((float(length), name, fog_visibility, penalty))
-    _write_csv(out / "power_penalty_vs_range.csv",
-               ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"], rows)
+    fog_beta = extinction_coefficient(
+        OpticalPath(cfg.ber_wavelength_nm, 1.0, fog_visibilities), model)
+    try:
+        penalty = power_penalty_db(tx, noise, clear_beta, fog_beta, ranges, cfg.target_ber)
+    except UnattainableBerError as exc:
+        row, fog = divmod(exc.index, len(names))
+        raise UnattainableBerError(
+            f"fog class {names[fog]} at range {ranges.item(row)} km: {exc}") from exc
+    curves["power_penalty_vs_range.csv"] = (
+        ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"],
+        _rows(ranges, names, fog_visibilities, penalty))
+
+    out = _out_dir(args)
+    for name, (header, rows) in curves.items():
+        _write_csv(out / name, header, rows)
     return EXIT_OK
 
 

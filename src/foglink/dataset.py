@@ -28,6 +28,7 @@ from .atmosphere import (
     path_attenuation_db,
 )
 from .link_budget import (
+    OokScheme,
     ReceiverNoiseConfig,
     RfBudgetInputs,
     TransceiverConfig,
@@ -161,20 +162,17 @@ def aggregate_station_climatology(
     missing = [s for s in wanted if s not in grouped]
     if missing:
         raise ValueError(f"no records for station(s): {', '.join(missing)}")
+    lams = np.array(wavelengths_nm, dtype=float)
     out = {}
     for station in wanted:
         rows = grouped[station]
         visibilities = np.array([r.visibility_km for r in rows])
-        mean_ext = {}
-        for lam in wavelengths_nm:
-            betas = [extinction_coefficient(
-                OpticalPath(lam, 0.0, v, reference_wavelength_nm), model)
-                for v in visibilities]
-            mean_ext[float(lam)] = float(np.mean(betas))
+        betas = extinction_coefficient(
+            OpticalPath(lams[:, None], 0.0, visibilities, reference_wavelength_nm), model)
         out[station] = StationClimatology(
             station=station, n_records=len(rows),
             mean_visibility_km=float(visibilities.mean()),
-            mean_extinction_per_km=mean_ext)
+            mean_extinction_per_km=dict(zip(lams.tolist(), betas.mean(axis=1).tolist())))
     return out
 
 
@@ -270,29 +268,29 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
     """
     if not records:
         raise ValueError("need at least one visibility record")
-    features: list[list[float]] = []
-    targets: list[float] = []
-    stations: list[str] = []
-    for record in records:
-        for lam in sweep.wavelengths_nm:
-            path = OpticalPath(lam, sweep.range_km, record.visibility_km,
-                               sweep.reference_wavelength_nm)
-            beta = extinction_coefficient(path, sweep.attenuation_model)
-            atten_db_km = attenuation_db_per_km(path, sweep.attenuation_model)
-            total_atten_db = path_attenuation_db(beta, sweep.range_km)
-            for power in sweep.tx_powers_w:
-                cfg = replace(sweep.base, tx_power_w=power, wavelength_nm=lam)
-                p_rx = received_power_geometric(cfg, atten_db_km, sweep.range_km)
-                rate = achievable_data_rate(p_rx, lam, cfg.photons_per_bit, noise)
-                snr_db = snr_budget_db(replace(
-                    budget, tx_power_dbm=watts_to_dbm(power),
-                    wavelength_m=lam * 1e-9, total_attenuation_db=total_atten_db))
-                for modulation in (0.0, 1.0):
-                    features.append([modulation, rate, atten_db_km, power, lam])
-                    targets.append(snr_db)
-                    stations.append(record.station)
-    return QosDataset(LabeledTable(np.array(features), np.array(targets), QOS_FEATURE_NAMES),
-                      np.array(stations))
+    # grid axes: record x wavelength x power
+    visibility = np.array([r.visibility_km for r in records])[:, None, None]
+    lam = np.array(sweep.wavelengths_nm, dtype=float)[:, None]
+    power = np.array(sweep.tx_powers_w, dtype=float)
+    path = OpticalPath(lam, sweep.range_km, visibility, sweep.reference_wavelength_nm)
+    beta = extinction_coefficient(path, sweep.attenuation_model)
+    atten_db_km = attenuation_db_per_km(path, sweep.attenuation_model)
+    total_atten_db = path_attenuation_db(beta, sweep.range_km)
+    p_rx = received_power_geometric(replace(sweep.base, tx_power_w=power),
+                                    atten_db_km, sweep.range_km)
+    rate = achievable_data_rate(p_rx, lam, sweep.base.photons_per_bit, noise)
+    snr_db = snr_budget_db(replace(
+        budget, tx_power_dbm=watts_to_dbm(power),
+        wavelength_m=lam * 1e-9, total_attenuation_db=total_atten_db))
+    cells = np.stack([column.ravel() for column in
+                      np.broadcast_arrays(rate, atten_db_km, power, lam)], axis=1)
+    modulations = np.array(list(OokScheme), dtype=float)
+    features = np.column_stack([np.tile(modulations, len(cells)),
+                                np.repeat(cells, len(modulations), axis=0)])
+    stations = np.repeat(np.array([r.station for r in records]),
+                         len(features) // len(records))
+    return QosDataset(LabeledTable(features, np.repeat(snr_db.ravel(), len(modulations)),
+                                   QOS_FEATURE_NAMES), stations)
 
 
 def split_indices(m: int, fractions: Sequence[float], seed: int) -> tuple[np.ndarray, ...]:

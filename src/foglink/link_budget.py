@@ -8,15 +8,24 @@ and the transmit-power penalty needed to hold a target BER under fog.
 Conventions: optical powers in watts, apertures in metres, divergence in
 mrad, ranges in km (mrad * km = m, so beam footprints come out in metres),
 specific attenuation in dB/km unless a ``beta`` name marks km^-1.
+
+Every function except :func:`ber` and :func:`required_snr_for_ber` takes
+scalars or numpy arrays that broadcast against each other (the config
+dataclasses may hold arrays too); a scalar in gives a float out.  Both go
+through the same numpy ufuncs, so a scalar call equals the matching element
+of an array call bit for bit.  ``ber`` stays scalar because ``math.erfc``
+has no numpy counterpart.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .atmosphere import DB_PER_NEPER
+import numpy as np
+
+from .atmosphere import DB_PER_NEPER, _reject
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -33,7 +42,15 @@ class OokScheme(enum.IntEnum):
 
 
 class UnattainableBerError(RuntimeError):
-    """Raised when no finite transmit power reaches the requested BER."""
+    """Raised when no finite transmit power reaches the requested BER.
+
+    ``index`` is the flat (C-order) position of the first such point in the
+    broadcast result of an array call, and 0 for a scalar call.
+    """
+
+    def __init__(self, message: str, index: int = 0) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -47,18 +64,17 @@ class TransceiverConfig:
     tx_aperture_m: float = 0.1
     rx_aperture_m: float = 0.1
     wavelength_nm: float = 1550.0
-    rx_sensitivity_dbm: float = -40.0
     photons_per_bit: float = 100.0
 
     def __post_init__(self) -> None:
         for name in ("tx_power_w", "divergence_mrad", "tx_aperture_m",
                      "rx_aperture_m", "wavelength_nm", "photons_per_bit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            val = getattr(self, name)
+            _reject(val <= 0, name + " must be positive, got {}", val)
         for name in ("tx_efficiency", "rx_efficiency"):
             val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {val}")
+            _reject(np.logical_not((0.0 < val) & (val <= 1.0)),
+                    name + " must lie in (0, 1], got {}", val)
 
 
 @dataclass(frozen=True)
@@ -99,37 +115,34 @@ class RfBudgetInputs:
     def __post_init__(self) -> None:
         for name in ("tx_gain_linear", "rx_gain_linear", "wavelength_m",
                      "noise_bandwidth_hz", "ambient_temp_k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            val = getattr(self, name)
+            _reject(val <= 0, name + " must be positive, got {}", val)
         for name in ("total_attenuation_db", "noise_figure_db", "fade_margin_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            val = getattr(self, name)
+            _reject(val < 0, name + " must be nonnegative, got {}", val)
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return np.power(10.0, db / 10.0)
 
 
 def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"cannot take dB of nonpositive value {x}")
-    return 10.0 * math.log10(x)
+    _reject(x <= 0, "cannot take dB of nonpositive value {}", x)
+    return 10.0 * np.log10(x)
 
 
 def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        raise ValueError(f"cannot take dBm of nonpositive power {p_w}")
-    return 10.0 * math.log10(p_w * 1e3)
+    _reject(p_w <= 0, "cannot take dBm of nonpositive power {}", p_w)
+    return 10.0 * np.log10(p_w * 1e3)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 10.0 ** (p_dbm / 10.0) * 1e-3
+    return np.power(10.0, p_dbm / 10.0) * 1e-3
 
 
 def photon_energy(wavelength_nm: float, noise: ReceiverNoiseConfig) -> float:
     """Photon energy h*c/lambda in joules."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm}")
+    _reject(wavelength_nm <= 0, "wavelength_nm must be positive, got {}", wavelength_nm)
     return noise.planck_js * SPEED_OF_LIGHT_M_PER_S / (wavelength_nm * 1e-9)
 
 
@@ -140,12 +153,11 @@ def received_power_geometric(cfg: TransceiverConfig, atten_db_per_km: float,
     P_rx = P_tx * d_r^2 / (d_t + theta*L)^2 * 10^(-gamma*L/10).  At L = 0 the
     footprint is the transmit aperture itself.
     """
-    if atten_db_per_km < 0:
-        raise ValueError(f"atten_db_per_km must be nonnegative, got {atten_db_per_km}")
-    if range_km < 0:
-        raise ValueError(f"range_km must be nonnegative, got {range_km}")
+    _reject(atten_db_per_km < 0,
+            "atten_db_per_km must be nonnegative, got {}", atten_db_per_km)
+    _reject(range_km < 0, "range_km must be nonnegative, got {}", range_km)
     footprint_m = cfg.tx_aperture_m + cfg.divergence_mrad * range_km
-    geometric = (cfg.rx_aperture_m / footprint_m) ** 2
+    geometric = np.square(cfg.rx_aperture_m / footprint_m)
     return cfg.tx_power_w * geometric * db_to_linear(-atten_db_per_km * range_km)
 
 
@@ -157,25 +169,23 @@ def received_power_aperture(cfg: TransceiverConfig, atten_db_per_km: float,
     capped at P_tx * eff_t * eff_r since the geometric factor exceeds one
     inside the near field.  Singular at L = 0.
     """
-    if range_km <= 0:
-        raise ValueError(f"range_km must be positive (formula singular at 0), got {range_km}")
-    if atten_db_per_km < 0:
-        raise ValueError(f"atten_db_per_km must be nonnegative, got {atten_db_per_km}")
-    geometric = (cfg.rx_aperture_m / (cfg.divergence_mrad * range_km)) ** 2
+    _reject(range_km <= 0,
+            "range_km must be positive (formula singular at 0), got {}", range_km)
+    _reject(atten_db_per_km < 0,
+            "atten_db_per_km must be nonnegative, got {}", atten_db_per_km)
+    geometric = np.square(cfg.rx_aperture_m / (cfg.divergence_mrad * range_km))
     ceiling = cfg.tx_power_w * cfg.tx_efficiency * cfg.rx_efficiency
     uncapped = ceiling * geometric * db_to_linear(-atten_db_per_km * range_km)
-    return min(uncapped, ceiling)
+    return np.minimum(uncapped, ceiling)
 
 
 def achievable_data_rate(p_received_w: float, wavelength_nm: float,
                          photons_per_bit: float, noise: ReceiverNoiseConfig) -> float:
     """Data rate 4*P_rx / (pi * E_photon * N_bits) in bits per second."""
-    if p_received_w < 0:
-        raise ValueError(f"p_received_w must be nonnegative, got {p_received_w}")
-    if photons_per_bit <= 0:
-        raise ValueError(f"photons_per_bit must be positive, got {photons_per_bit}")
+    _reject(p_received_w < 0, "p_received_w must be nonnegative, got {}", p_received_w)
+    _reject(photons_per_bit <= 0, "photons_per_bit must be positive, got {}", photons_per_bit)
     e_photon = photon_energy(wavelength_nm, noise)
-    return 4.0 * p_received_w / (math.pi * e_photon * photons_per_bit)
+    return 4.0 * p_received_w / (np.pi * e_photon * photons_per_bit)
 
 
 def snr_budget_db(inputs: RfBudgetInputs) -> float:
@@ -190,11 +200,11 @@ def snr_budget_db(inputs: RfBudgetInputs) -> float:
     return (
         inputs.tx_power_dbm
         - 30.0
-        - 10.0 * math.log10(inputs.tx_gain_linear)
-        + 10.0 * math.log10(inputs.rx_gain_linear)
-        - 20.0 * math.log10(4.0 * math.pi / inputs.wavelength_m)
-        - 10.0 * math.log10(inputs.noise_bandwidth_hz * inputs.ambient_temp_k
-                            * BOLTZMANN_J_PER_K)
+        - 10.0 * np.log10(inputs.tx_gain_linear)
+        + 10.0 * np.log10(inputs.rx_gain_linear)
+        - 20.0 * np.log10(4.0 * np.pi / inputs.wavelength_m)
+        - 10.0 * np.log10(inputs.noise_bandwidth_hz * inputs.ambient_temp_k
+                          * BOLTZMANN_J_PER_K)
         - inputs.total_attenuation_db
         - inputs.noise_figure_db
         - inputs.fade_margin_db
@@ -203,26 +213,23 @@ def snr_budget_db(inputs: RfBudgetInputs) -> float:
 
 def electrical_snr_linear(p_received_w: float, noise: ReceiverNoiseConfig) -> float:
     """Electrical SNR of a PIN receiver: (R*P)^2 over shot + thermal noise."""
-    if p_received_w < 0:
-        raise ValueError(f"p_received_w must be nonnegative, got {p_received_w}")
+    _reject(p_received_w < 0, "p_received_w must be nonnegative, got {}", p_received_w)
     photocurrent = noise.responsivity_a_per_w * p_received_w
     bw = noise.electrical_bandwidth_hz
     shot = 2.0 * ELECTRON_CHARGE_C * (photocurrent + noise.dark_current_a) * bw
     thermal = 4.0 * noise.boltzmann_j_per_k * noise.temperature_k * bw / noise.load_resistance_ohm
-    return photocurrent ** 2 / (shot + thermal)
+    return np.square(photocurrent) / (shot + thermal)
 
 
 def channel_capacity(bandwidth_hz: float, snr_linear: float) -> float:
     """Shannon capacity B * log2(1 + SNR) in bits per second."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz}")
-    if snr_linear < 0:
-        raise ValueError(f"snr_linear must be nonnegative, got {snr_linear}")
-    return bandwidth_hz * math.log2(1.0 + snr_linear)
+    _reject(bandwidth_hz <= 0, "bandwidth_hz must be positive, got {}", bandwidth_hz)
+    _reject(snr_linear < 0, "snr_linear must be nonnegative, got {}", snr_linear)
+    return bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
 def ber(scheme: OokScheme, snr_linear: float) -> float:
-    """OOK bit-error probability as a function of linear SNR.
+    """OOK bit-error probability as a function of linear SNR (scalars only).
 
     NRZ: erfc(sqrt(SNR)/(2*sqrt(2)))/2.  RZ: erfc(sqrt(SNR)/2)/2, i.e. RZ
     needs half the SNR of NRZ for the same error rate.
@@ -236,7 +243,7 @@ def ber(scheme: OokScheme, snr_linear: float) -> float:
 
 
 def required_snr_for_ber(scheme: OokScheme, target_ber: float) -> float:
-    """Smallest linear SNR whose BER is at or below the target.
+    """Smallest linear SNR whose BER is at or below the target (scalars only).
 
     Solved by bisection on the NRZ curve to 1e-10 relative width; the RZ
     value is exactly half the NRZ one, so it is derived rather than
@@ -266,7 +273,7 @@ def _received_power_for_snr(snr_linear: float, noise: ReceiverNoiseConfig) -> fl
              + 4.0 * noise.boltzmann_j_per_k * noise.temperature_k * bw
              / noise.load_resistance_ohm)
     photocurrent = (snr_linear * shot_slope
-                    + math.sqrt((snr_linear * shot_slope) ** 2 + snr_linear * fixed))
+                    + np.sqrt(np.square(snr_linear * shot_slope) + snr_linear * fixed))
     return photocurrent / noise.responsivity_a_per_w
 
 
@@ -278,38 +285,27 @@ def power_penalty_db(cfg: TransceiverConfig, noise: ReceiverNoiseConfig,
 
     Penalty = P_tx,req(fog) - P_tx,req(clear) in dB, where P_tx,req makes the
     PIN electrical SNR reach the BER's required SNR through the geometric
-    received-power channel at the given range.
+    received-power channel at the given range.  The required SNR is solved
+    once per call, however many points the arrays hold.
     """
-    if clear_beta_per_km < 0:
-        raise ValueError(f"clear_beta_per_km must be nonnegative, got {clear_beta_per_km}")
-    if fog_beta_per_km < clear_beta_per_km:
-        raise ValueError("fog_beta_per_km must be at least clear_beta_per_km")
-    if range_km <= 0:
-        raise ValueError(f"range_km must be positive, got {range_km}")
+    _reject(clear_beta_per_km < 0,
+            "clear_beta_per_km must be nonnegative, got {}", clear_beta_per_km)
+    _reject(fog_beta_per_km < clear_beta_per_km,
+            "fog_beta_per_km must be at least clear_beta_per_km")
+    _reject(range_km <= 0, "range_km must be positive, got {}", range_km)
 
-    snr_req = required_snr_for_ber(scheme, target_ber)
-    p_rx_req = _received_power_for_snr(snr_req, noise)
-
-    def tx_required(beta: float) -> float:
-        atten_db_per_km = DB_PER_NEPER * beta
-        unit = TransceiverConfig(
-            tx_power_w=1.0,
-            divergence_mrad=cfg.divergence_mrad,
-            tx_efficiency=cfg.tx_efficiency,
-            rx_efficiency=cfg.rx_efficiency,
-            tx_aperture_m=cfg.tx_aperture_m,
-            rx_aperture_m=cfg.rx_aperture_m,
-            wavelength_nm=cfg.wavelength_nm,
-            photons_per_bit=cfg.photons_per_bit,
-        )
-        channel_gain = received_power_geometric(unit, atten_db_per_km, range_km)
-        if channel_gain == 0.0:  # the path loss underflowed: no finite power suffices
-            raise UnattainableBerError(
-                f"BER {target_ber} not attainable: the channel gain underflows to 0")
-        return p_rx_req / channel_gain
-
-    penalty = 10.0 * math.log10(tx_required(fog_beta_per_km) / tx_required(clear_beta_per_km))
-    if not math.isfinite(penalty):
-        raise UnattainableBerError(
-            f"BER {target_ber} not attainable at any finite power over this channel")
+    p_rx_req = _received_power_for_snr(required_snr_for_ber(scheme, target_ber), noise)
+    unit = replace(cfg, tx_power_w=1.0)
+    fog_gain = received_power_geometric(unit, DB_PER_NEPER * fog_beta_per_km, range_km)
+    clear_gain = received_power_geometric(unit, DB_PER_NEPER * clear_beta_per_km, range_km)
+    # a zero gain means the path loss underflowed: no finite power suffices
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        penalty = 10.0 * np.log10((p_rx_req / fog_gain) / (p_rx_req / clear_gain))
+    underflow = (fog_gain == 0.0) | (clear_gain == 0.0)
+    unattainable = underflow | ~np.isfinite(penalty)
+    if np.any(unattainable):
+        first = int(np.argmax(unattainable))
+        reason = (": the channel gain underflows to 0" if np.ravel(underflow)[first]
+                  else " at any finite power over this channel")
+        raise UnattainableBerError(f"BER {target_ber} not attainable{reason}", first)
     return penalty

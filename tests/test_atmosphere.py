@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +53,8 @@ class TestParticleSizeExponent:
             particle_size_exponent(0.0, KRUSE)
         with pytest.raises(ValueError):
             particle_size_exponent(-1.0, KIM)
+        with pytest.raises(ValueError):
+            particle_size_exponent(np.array([[2.0, 1.0], [0.5, 0.0]]), KIM)
 
     @given(st.floats(min_value=1e-3, max_value=200.0))
     def test_nonnegative_everywhere(self, visibility):
@@ -116,6 +119,10 @@ class TestTransmittance:
             transmittance(-1.0, 1.0)
         with pytest.raises(ValueError):
             transmittance(1.0, -1.0)
+        with pytest.raises(ValueError):
+            transmittance(np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(ValueError):
+            path_attenuation_db(1.0, np.array([[0.0], [-1.0]]))
 
     @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=20.0))
     def test_consistent_with_db_loss(self, b, length):
@@ -148,16 +155,23 @@ class TestOpticalPathValidation:
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             OpticalPath(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="wavelength_nm must be positive"):
+            OpticalPath(np.array([1550.0, 0.0]), 1.0, 1.0)
 
     def test_rejects_bad_visibility(self):
         with pytest.raises(ValueError):
             OpticalPath(1550.0, 1.0, 0.0)
+        # an array error names its first offending element, not the whole array
+        with pytest.raises(ValueError, match=r"visibility_km must be positive, got -3\.0$"):
+            OpticalPath(1550.0, 1.0, np.array([2.0, 1.0, -3.0, -4.0]))
 
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError):
             OpticalPath(1550.0, -0.1, 1.0)
+        with pytest.raises(ValueError, match=r"range_km must be nonnegative, got -0\.1$"):
+            OpticalPath(np.array([1550.0, 850.0]), np.array([[0.0], [-0.1]]), 1.0)
 
     def test_rejects_threshold_outside_unit_interval(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, np.array([0.02, 1.0]), np.array([np.nan])):
             with pytest.raises(ValueError):
                 OpticalPath(1550.0, 1.0, 1.0, transmittance_threshold=bad)

@@ -60,6 +60,9 @@ class TestConfig:
         path = write_cfg(tmp_path, "rf_trees = 7\nbogus_key = 3\nworse = x\n")
         with pytest.raises(ValueError, match="bogus_key"):
             load_config(path)
+        path = write_cfg(tmp_path, "rx_sensitivity_dbm = -40.0\n")  # removed: no formula read it
+        with pytest.raises(ValueError, match="unknown config keys: rx_sensitivity_dbm"):
+            load_config(path)
 
     def test_example_config_file_parses_to_defaults(self):
         assert load_config("configs/default.cfg") == RunConfig()
@@ -103,18 +106,22 @@ def sweep_dir(tmp_path_factory):
 
 
 class TestLinkSweep:
-    @pytest.mark.parametrize("config", [
-        "attenuation_model = kim\n",                          # penalty not finite
-        "attenuation_model = kim\nrange_step_km = 2.5\n",    # channel gain 0
+    @pytest.mark.parametrize("config, message", [
+        ("attenuation_model = kim\n",                          # penalty not finite
+         "fog class dense at range 9.1 km: BER 1e-09 not attainable at any finite "
+         "power over this channel"),
+        ("attenuation_model = kim\nrange_step_km = 2.5\n",    # channel gain 0
+         "fog class dense at range 10.1 km: BER 1e-09 not attainable: the channel "
+         "gain underflows to 0"),
     ])
     def test_unattainable_penalty_exits_3_naming_fog_class_and_range(
-            self, tmp_path, capsys, config):
+            self, tmp_path, capsys, config, message):
         cfg = write_cfg(tmp_path, config)
-        assert main(["link-sweep", "--config", cfg, "--out-dir", str(tmp_path)]) \
+        out = tmp_path / "out"
+        assert main(["link-sweep", "--config", cfg, "--out-dir", str(out)]) \
             == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "fog class dense at range " in err and " km: BER " in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not list(out.glob("*"))  # every curve is checked before any is written
 
     @pytest.mark.parametrize("config, message", [
         ("tx_power_w = nan\n", "tx_power_w"),
@@ -382,14 +389,28 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "wavelengths_nm" in err and "Traceback" not in err
 
-    def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("sample_records", "x"), ("stack_folds", 2.5),
+                                            ("rf_trees", True)])
+    def test_mistyped_manifest_int_config_value_named(self, trained, tmp_path, capsys,
+                                                      key, value):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())
-        manifest["config"]["bogus_key"] = 1
+        manifest["config"][key] = value
         patched = tmp_path / "manifest.json"
         patched.write_text(json.dumps(manifest))
         assert main(["evaluate", "--data", str(trained["data"]),
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-        assert "bogus_key" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key {key}: need an integer" in err and "Traceback" not in err
+
+    def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["config"]["bogus_key"] = 1
+        manifest["config"]["rx_sensitivity_dbm"] = -40.0  # a removed key, as old manifests hold
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--data", str(trained["data"]),
+                     "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert "unknown config keys: bogus_key, rx_sensitivity_dbm" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -1,10 +1,18 @@
 import datetime
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from foglink.atmosphere import AttenuationModel, OpticalPath, extinction_coefficient
+from foglink.atmosphere import (
+    AttenuationModel,
+    OpticalPath,
+    attenuation_db_per_km,
+    extinction_coefficient,
+    path_attenuation_db,
+)
 from foglink.dataset import (
     DEFAULT_STATION_PROFILES,
     CsvParseError,
@@ -20,9 +28,12 @@ from foglink.dataset import (
     write_visibility_csv,
 )
 from foglink.link_budget import (
+    BOLTZMANN_J_PER_K,
     ReceiverNoiseConfig,
     RfBudgetInputs,
     TransceiverConfig,
+    achievable_data_rate,
+    received_power_geometric,
     snr_budget_db,
     watts_to_dbm,
 )
@@ -170,6 +181,55 @@ class TestBuildQosTable:
         for i in range(0, qos.table.n_rows, 2):
             assert X[i, 2] == X[i + 1, 2]
             assert X[i, 1] == X[i + 1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(visibilities=st.lists(st.floats(0.02, 80.0), min_size=1, max_size=4),
+           wavelengths=st.lists(st.floats(600.0, 1700.0), min_size=1, max_size=3),
+           powers=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3),
+           range_km=st.floats(0.05, 5.0),
+           model=st.sampled_from(AttenuationModel),
+           gains=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+           margins=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
+    def test_rows_equal_scalar_physics_and_closed_form(self, visibilities, wavelengths,
+                                                       powers, range_km, model, gains,
+                                                       margins):
+        records = [record(station=f"S{k}", visibility=v, day=k + 1)
+                   for k, v in enumerate(visibilities)]
+        sweep = TransceiverSweep(base=TransceiverConfig(), wavelengths_nm=tuple(wavelengths),
+                                 tx_powers_w=tuple(powers), range_km=range_km,
+                                 attenuation_model=model)
+        (g_tx, g_rx), (noise_figure, fade) = gains, margins
+        budget = RfBudgetInputs(tx_power_dbm=20.0, tx_gain_linear=g_tx, rx_gain_linear=g_rx,
+                                noise_figure_db=noise_figure, fade_margin_db=fade)
+        qos = build_qos_table(records, sweep, NOISE, budget)
+        X, y = qos.table.features, qos.table.targets
+        # independent reference: the budget with P_tx in W and lambda in nm pulled out
+        c = (-20.0 * math.log10(4.0 * math.pi) - 180.0
+             - 10.0 * math.log10(budget.noise_bandwidth_hz * budget.ambient_temp_k
+                                 * BOLTZMANN_J_PER_K)
+             + 10.0 * math.log10(g_rx / g_tx) - noise_figure - fade)
+        i = 0
+        for rec in records:  # rows run record-major, then wavelength, power, modulation
+            for lam in wavelengths:
+                path = OpticalPath(lam, range_km, rec.visibility_km)
+                atten = attenuation_db_per_km(path, model)
+                total = path_attenuation_db(extinction_coefficient(path, model), range_km)
+                for power in powers:
+                    p_rx = received_power_geometric(replace(sweep.base, tx_power_w=power),
+                                                    atten, range_km)
+                    rate = achievable_data_rate(p_rx, lam, sweep.base.photons_per_bit, NOISE)
+                    snr = snr_budget_db(replace(budget, tx_power_dbm=watts_to_dbm(power),
+                                                wavelength_m=lam * 1e-9,
+                                                total_attenuation_db=total))
+                    closed = (10.0 * math.log10(power) + 20.0 * math.log10(lam)
+                              - range_km * atten + c)
+                    for modulation in (0.0, 1.0):
+                        assert (X[i, 0], X[i, 1], X[i, 2], X[i, 3], X[i, 4]) == (
+                            modulation, rate, atten, power, lam)
+                        assert (y[i], qos.stations[i]) == (snr, rec.station)
+                        assert abs(y[i] - closed) <= 1e-9
+                        i += 1
+        assert i == qos.table.n_rows
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):

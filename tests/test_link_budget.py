@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from foglink.link_budget import (
     ReceiverNoiseConfig,
     RfBudgetInputs,
     TransceiverConfig,
+    UnattainableBerError,
     achievable_data_rate,
     ber,
     channel_capacity,
@@ -52,6 +54,8 @@ class TestPhotonEnergy:
     def test_rejects_nonpositive_wavelength(self):
         with pytest.raises(ValueError):
             photon_energy(0.0, NOISE)
+        with pytest.raises(ValueError):
+            photon_energy(np.array([1550.0, 0.0]), NOISE)
 
 
 class TestReceivedPowerGeometric:
@@ -117,6 +121,8 @@ class TestReceivedPowerAperture:
     def test_singular_at_zero_range(self):
         with pytest.raises(ValueError):
             received_power_aperture(TransceiverConfig(), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            received_power_aperture(TransceiverConfig(), 0.0, np.array([1.0, 0.0]))
 
 
 class TestAchievableDataRate:
@@ -137,6 +143,10 @@ class TestAchievableDataRate:
     def test_rejects_bad_photons_per_bit(self):
         with pytest.raises(ValueError):
             achievable_data_rate(1e-6, 1550.0, 0.0, NOISE)
+        with pytest.raises(ValueError):
+            achievable_data_rate(1e-6, 1550.0, np.array([100.0, 0.0]), NOISE)
+        with pytest.raises(ValueError):
+            achievable_data_rate(np.array([1e-6, -1e-9]), 1550.0, 100.0, NOISE)
 
     @given(st.floats(min_value=0.001, max_value=0.1),
            st.floats(min_value=0.01, max_value=0.5),
@@ -228,6 +238,8 @@ class TestChannelCapacity:
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
             channel_capacity(1e9, -0.1)
+        with pytest.raises(ValueError):
+            channel_capacity(1e9, np.array([[1.0, 2.0], [-0.1, 3.0]]))
 
 
 class TestBer:
@@ -298,9 +310,43 @@ class TestPowerPenalty:
                   for L in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_array_call_equals_scalar_calls(self):
+        cfg = TransceiverConfig()
+        fog = np.array([0.1, 2.0, 20.0])
+        ranges = np.array([[0.5], [1.0], [4.0]])
+        penalty = power_penalty_db(cfg, NOISE, 0.1, fog, ranges, 1e-9)
+        assert penalty.shape == (3, 3)
+        for (i, j), value in np.ndenumerate(penalty):
+            assert value == power_penalty_db(cfg, NOISE, 0.1, fog[j], ranges[i, 0], 1e-9)
+
+    def test_unattainable_point_indexed_in_broadcast_order(self):
+        # 200 km^-1 is ~869 dB/km: the gain underflows to 0 at 10 and 12 km, not at 2 km
+        ranges = np.array([[1.0], [2.0], [10.0], [12.0]])
+        with pytest.raises(UnattainableBerError, match="underflows to 0") as err:
+            power_penalty_db(TransceiverConfig(), NOISE, 0.1, np.array([1.0, 200.0]),
+                             ranges, 1e-9)
+        assert err.value.index == 5
+
     def test_rejects_fog_thinner_than_clear(self):
         with pytest.raises(ValueError):
             power_penalty_db(TransceiverConfig(), NOISE, 1.0, 0.5, 1.0, 1e-9)
+        with pytest.raises(ValueError):
+            power_penalty_db(TransceiverConfig(), NOISE, 1.0, np.array([2.0, 0.5]), 1.0, 1e-9)
+        with pytest.raises(ValueError):
+            power_penalty_db(TransceiverConfig(), NOISE, 1.0, 2.0, np.array([1.0, 0.0]), 1e-9)
+
+
+class TestConfigValidation:
+    def test_array_fields_checked_elementwise(self):
+        with pytest.raises(ValueError, match=r"tx_power_w must be positive, got 0\.0$"):
+            TransceiverConfig(tx_power_w=np.array([0.1, 0.0, -1.0]))
+        with pytest.raises(ValueError, match=r"tx_efficiency must lie in \(0, 1\], got 1\.5$"):
+            TransceiverConfig(tx_efficiency=np.array([[0.5], [1.5]]))
+        with pytest.raises(ValueError, match="total_attenuation_db must be nonnegative"):
+            RfBudgetInputs(tx_power_dbm=20.0, total_attenuation_db=np.array([0.0, -1.0]))
+        with pytest.raises(ValueError, match="wavelength_m must be positive"):
+            RfBudgetInputs(tx_power_dbm=20.0, wavelength_m=np.array([1.55e-6, 0.0]))
+        TransceiverConfig(tx_power_w=np.array([0.1, 1.0]), rx_efficiency=np.array([1.0]))
 
 
 class TestDbConversions:
@@ -317,3 +363,7 @@ class TestDbConversions:
             linear_to_db(0.0)
         with pytest.raises(ValueError):
             watts_to_dbm(-1.0)
+        with pytest.raises(ValueError):
+            linear_to_db(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            watts_to_dbm(np.array([[0.1], [-1.0]]))
