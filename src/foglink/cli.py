@@ -199,19 +199,19 @@ def _coerce(name: str, default, text: str):
 def _run_config(values: dict) -> RunConfig:
     """The defaults with ``values`` applied; every key must be a RunConfig
     field, every int field must hold an int, and every float or float-tuple
-    field must hold finite numbers."""
+    field must hold finite numbers; booleans are refused for both."""
     unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     cfg = replace(RunConfig(), **values)
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
-        if isinstance(f.default, int) and type(value) is not int:  # bool is refused too
+        if isinstance(f.default, int) and type(value) is not int:
             raise ValidationError(f"config key {f.name}: need an integer, got {value!r}")
         if isinstance(f.default, (float, tuple)):
             numbers = value if isinstance(f.default, tuple) else (value,)
             if not (isinstance(numbers, tuple) and all(
-                    isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)):
+                    type(v) in (int, float) and math.isfinite(v) for v in numbers)):
                 raise ValidationError(
                     f"config key {f.name}: need finite numbers, got {value!r}")
     return cfg

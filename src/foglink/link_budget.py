@@ -63,12 +63,11 @@ class TransceiverConfig:
     rx_efficiency: float = 0.8
     tx_aperture_m: float = 0.1
     rx_aperture_m: float = 0.1
-    wavelength_nm: float = 1550.0
     photons_per_bit: float = 100.0
 
     def __post_init__(self) -> None:
         for name in ("tx_power_w", "divergence_mrad", "tx_aperture_m",
-                     "rx_aperture_m", "wavelength_nm", "photons_per_bit"):
+                     "rx_aperture_m", "photons_per_bit"):
             val = getattr(self, name)
             _reject(val <= 0, name + " must be positive, got {}", val)
         for name in ("tx_efficiency", "rx_efficiency"):

@@ -12,12 +12,22 @@ are solved exactly by enumerating the supports of the simplex, so at most
 ``MAX_BASE_LEARNERS`` learners may be stacked.  Final base learners are
 fitted on all rows with the stacking seed, except those the caller has
 already fitted that way and hands over.
+
+The L x H fold fits are independent, so they run in a pool of worker
+processes, one per CPU in this process's affinity mask (limit them with
+``taskset``) and at most one per fit.  The pool forks, so workers start
+without importing anything again; with one usable CPU, or on a platform
+that cannot fork, the fits run in process.  Each fit keeps its own seed and
+the parent places its predictions by (learner, fold), so the level-1 sample
+and everything after it do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -125,6 +135,38 @@ def kfold_partition(m: int, n_folds: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
+def _fold_workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` fold fits: the CPUs this process may
+    run on, at most one per fit."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
+@contextmanager
+def _fold_map(n_tasks: int):
+    """The ``map`` that runs the fold fits: a fork pool's ``imap``, which
+    yields results in task order, or the builtin in process when there is one
+    worker or no fork; the pool is terminated on exit."""
+    import multiprocessing
+    workers = _fold_workers(n_tasks) if "fork" in multiprocessing.get_all_start_methods() else 1
+    if workers == 1:
+        yield map
+        return
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield pool.imap
+
+
+def _fit_fold(task: tuple) -> np.ndarray:
+    """Predictions for the rows of ``fold`` by ``spec`` fitted with ``seed``
+    on every other row of ``data``; ``task`` is ``(spec, data, fold, seed)``."""
+    spec, data, fold, seed = task
+    train_rows = np.setdiff1d(np.arange(data.n_rows), fold)
+    return fit_base_learner(spec, data.subset(train_rows), seed).predict(data.features[fold])
+
+
 def build_level1_sample(data: LabeledTable, cfg: StackConfig) -> LabeledTable:
     """Out-of-fold base predictions as an m x L table with unchanged targets."""
     folds = kfold_partition(data.n_rows, cfg.n_folds, cfg.seed)
@@ -132,16 +174,18 @@ def build_level1_sample(data: LabeledTable, cfg: StackConfig) -> LabeledTable:
     # is drawn because the (L, H + 1) shape fixes which value each fold gets.
     seeds = np.random.default_rng(cfg.seed).integers(
         0, 2 ** 31 - 1, size=(len(cfg.base_learner_specs), cfg.n_folds + 1))
+    pairs = list(product(enumerate(cfg.base_learner_specs), enumerate(folds)))
+    tasks = [(spec, data, fold, int(seeds[l, h])) for (l, spec), (h, fold) in pairs]
     columns = np.empty((data.n_rows, len(cfg.base_learner_specs)))
-    for l, spec in enumerate(cfg.base_learner_specs):
-        for h, fold in enumerate(folds):
-            train_rows = np.setdiff1d(np.arange(data.n_rows), fold)
+    with _fold_map(len(tasks)) as fold_map:
+        fits = fold_map(_fit_fold, tasks)
+        for (l, spec), (h, fold) in pairs:
             try:
-                model = fit_base_learner(spec, data.subset(train_rows), int(seeds[l, h]))
-            except Exception as exc:
+                predictions = next(fits)
+            except Exception as exc:  # the first failure in (l, h) order
                 raise StackingError(
                     f"base learner {l} ({spec.label}) failed on fold {h}: {exc}") from exc
-            columns[fold, l] = model.predict(data.features[fold])
+            columns[fold, l] = predictions
     names = tuple(f"{spec.label}_{l}" for l, spec in enumerate(cfg.base_learner_specs))
     return LabeledTable(columns, data.targets, names)
 

@@ -291,6 +291,8 @@ class TestTrain:
                 "--seed", "5", "--out-dir"]
         folds = load_config(str(trained["cfg"])).stack_folds
         names = ("fit_random_forest", "fit_gradient_boost", "fit_adaboost_r2")
+        # fits in pool workers are invisible to the counters: fit in process
+        monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks: 1)
 
         assert main(argv + [str(tmp_path / "reuse")]) == EXIT_OK
         assert calls == {name: folds + 1 for name in names}
@@ -401,6 +403,20 @@ class TestEvaluate:
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"config key {key}: need an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("tx_power_w", True), ("fade_margin_db", False),
+                                            ("tx_powers_w", [True])],
+                             ids=["tx_power_w-true", "fade_margin_db-false", "tx_powers_w-[true]"])
+    def test_mistyped_manifest_float_config_value_named(self, trained, tmp_path, capsys,
+                                                        key, value):
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["config"][key] = value
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--data", str(trained["data"]),
+                     "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config key {key}: need finite numbers" in err and "Traceback" not in err
 
     def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())

@@ -1,6 +1,15 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from foglink import stacking
+from foglink.serialize import save_model
 from foglink.stacking import (
     LearnerSpec,
     StackConfig,
@@ -8,6 +17,7 @@ from foglink.stacking import (
     StackingError,
     _MeanLearner,
     build_level1_sample,
+    fit_base_learner,
     fit_stacked,
     kfold_partition,
     solve_stacking_weights,
@@ -21,6 +31,11 @@ def random_table(m, k, seed):
     X = rng.uniform(-1, 1, size=(m, k))
     y = X @ rng.normal(size=k) + 0.1 * rng.normal(size=m)
     return LabeledTable(X, y, tuple(f"f{i}" for i in range(k)))
+
+
+def fold_paths():
+    """Worker counts that reach both fold-fit paths: in process and the pool."""
+    return (1, 2) if "fork" in multiprocessing.get_all_start_methods() else (1,)
 
 
 class TestKfold:
@@ -88,11 +103,70 @@ class TestLevel1:
         other = np.concatenate([folds[0], folds[2]])
         assert not np.array_equal(level1.features[other], perturbed.features[other])
 
-    def test_learner_failure_is_identified(self):
+    def test_learner_failure_is_identified(self, monkeypatch):
+        # adbr fails on fold 1 only; every fold of the forest fails at once,
+        # yet the first failure in (learner, fold) order is the one reported
         data = random_table(12, 2, 9)
-        cfg = StackConfig((LearnerSpec("adbr", {"max_depth": 0}),), n_folds=2, seed=0)
-        with pytest.raises(StackingError, match="fold"):
-            build_level1_sample(data, cfg)
+        cfg = StackConfig((LearnerSpec("adbr", {"max_depth": 0}),
+                           LearnerSpec("forest", {"n_trees": 0})), n_folds=2, seed=0)
+        for workers in fold_paths():
+            monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks, w=workers: w)
+            with pytest.raises(StackingError) as raised:
+                build_level1_sample(data, cfg)
+            assert str(raised.value) == ("base learner 0 (adbr) failed on fold 1: "
+                                         "first-round average loss 0.656 >= 0.5")
+
+
+class TestFoldPool:
+    SPECS = (LearnerSpec("forest", {"n_trees": 3, "min_leaf_size": 2}),
+             LearnerSpec("gbr", {"n_trees": 5, "max_depth": 3}),
+             LearnerSpec("adbr", {"n_rounds": 3}),
+             LearnerSpec("tree", {"min_leaf_size": 2}))
+
+    def test_pool_equals_in_process(self, monkeypatch, tmp_path):
+        if fold_paths() == (1,):
+            pytest.skip("no fork start method on this platform")
+        data = random_table(60, 3, 12)
+        cfg = StackConfig(self.SPECS, n_folds=5, seed=3)
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls["fit"] += 1
+            return fit_base_learner(*args, **kwargs)
+
+        monkeypatch.setattr(stacking, "fit_base_learner", counted)
+        level1, in_parent = {}, {}
+        for workers in (1, 2):
+            monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks, w=workers: w)
+            calls.clear()
+            level1[workers] = build_level1_sample(data, cfg)
+            in_parent[workers] = calls["fit"]
+            save_model(fit_stacked(data, cfg), tmp_path / f"stacked_{workers}.json")
+        # pool workers' fits never reach the parent's counter
+        assert in_parent == {1: 20, 2: 0}
+        assert np.array_equal(level1[1].features, level1[2].features)
+        assert level1[1].feature_names == level1[2].feature_names
+        assert ((tmp_path / "stacked_1.json").read_bytes()
+                == (tmp_path / "stacked_2.json").read_bytes())
+
+    def test_workers_capped_by_usable_cpus_and_tasks(self):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count()
+        assert stacking._fold_workers(1) == 1
+        assert stacking._fold_workers(10 ** 6) == cpus
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # `import foglink` pays for no pool; fitting imports it when needed
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, foglink, foglink.cli; "
+                 "print('multiprocessing' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "False"
 
 
 def grid_objectives(level1):
