@@ -3,8 +3,8 @@
 models, evaluate on the held-out split, and print the per-model scores.
 
 Equivalent to:
-    foglink synth-data --days N --seed S --out-dir D
-    foglink train --data D/visibility.csv --seed S --out-dir D/run
+    foglink synth-data --days N --seed S [--stations A,B] --out-dir D
+    foglink train --data D/visibility.csv --seed S [--config FILE] --out-dir D/run
     foglink evaluate --data D/visibility.csv --out-dir D/run
 """
 
@@ -26,18 +26,14 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out_dir)
-    base = ["--seed", str(args.seed)]
-    if args.config:
-        base += ["--config", args.config]
-    if args.stations:
-        base += ["--stations", args.stations]
-
+    data, run, seed = str(out / "visibility.csv"), str(out / "run"), ["--seed", str(args.seed)]
+    # each command gets only the flags it reads
     steps = (
-        ["synth-data", "--days", str(args.days), "--out-dir", str(out)] + base,
-        ["train", "--data", str(out / "visibility.csv"),
-         "--out-dir", str(out / "run")] + base,
-        ["evaluate", "--data", str(out / "visibility.csv"),
-         "--out-dir", str(out / "run")] + base,
+        ["synth-data", "--days", str(args.days), "--out-dir", str(out)] + seed
+        + (["--stations", args.stations] if args.stations else []),
+        ["train", "--data", data, "--out-dir", run] + seed
+        + (["--config", args.config] if args.config else []),
+        ["evaluate", "--data", data, "--out-dir", run],
     )
     for step in steps:
         print("$ foglink " + " ".join(step))

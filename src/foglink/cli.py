@@ -89,8 +89,6 @@ class RunConfig:
     # transceiver
     tx_power_w: float = 0.1
     divergence_mrad: float = 3.0
-    tx_efficiency: float = 0.8
-    rx_efficiency: float = 0.8
     tx_aperture_m: float = 0.1
     rx_aperture_m: float = 0.1
     photons_per_bit: float = 100.0
@@ -158,7 +156,6 @@ class RunConfig:
     def transceiver(self) -> TransceiverConfig:
         return TransceiverConfig(
             tx_power_w=self.tx_power_w, divergence_mrad=self.divergence_mrad,
-            tx_efficiency=self.tx_efficiency, rx_efficiency=self.rx_efficiency,
             tx_aperture_m=self.tx_aperture_m, rx_aperture_m=self.rx_aperture_m,
             photons_per_bit=self.photons_per_bit)
 
@@ -237,15 +234,10 @@ def load_config(path: Optional[str]) -> RunConfig:
     return _run_config(updates)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy float subclasses
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Rows of Python scalars; ``str`` of a Python float is its ``repr``."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -263,7 +255,7 @@ def _out_dir(args) -> Path:
 
 def _rows(*columns):
     """CSV rows from columns that broadcast together, in C order, as Python
-    scalars (so ``_fmt`` writes each float's repr)."""
+    scalars (so ``_write_csv`` writes each float's repr)."""
     return zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))
 
 
@@ -363,10 +355,14 @@ def cmd_link_sweep(args) -> int:
     return EXIT_OK
 
 
-def _selected_profiles(stations: Optional[str]):
+def _station_names(stations: Optional[str]) -> list[str]:
+    """The names a --stations value lists; every preset without one."""
     if not stations:
-        return list(DEFAULT_STATION_PROFILES.values())
-    names = [s.strip() for s in stations.split(",") if s.strip()]
+        return list(DEFAULT_STATION_PROFILES)
+    return [s.strip() for s in stations.split(",") if s.strip()]
+
+
+def _station_profiles(names: Sequence[str]):
     unknown = [n for n in names if n not in DEFAULT_STATION_PROFILES]
     if unknown:
         raise ValidationError(
@@ -377,35 +373,34 @@ def _selected_profiles(stations: Optional[str]):
 
 def cmd_synth_data(args) -> int:
     out = _out_dir(args)
-    profiles = _selected_profiles(args.stations)
+    profiles = _station_profiles(_station_names(args.stations))
     records = synthesize_dataset(profiles, args.days, args.seed)
     (out / "visibility.csv").write_text(write_visibility_csv(records))
     return EXIT_OK
 
 
-def _load_records(args, cfg: RunConfig):
-    """Records plus a JSON-able description of where they came from."""
-    if args.data:
-        data_path = Path(args.data)
+def _load_records(source: dict, seed: int, cfg: RunConfig):
+    """The records ``source`` (as a manifest stores it) describes, subsampled
+    with ``seed``; skipped CSV rows are reported on stderr."""
+    if source["kind"] == "csv":
+        data_path = Path(source["path"])
         if not data_path.exists():
-            raise ValidationError(f"data file not found: {args.data}")
+            raise ValidationError(f"data file not found: {source['path']}")
         result = parse_visibility_csv(data_path.read_text().splitlines())
-        records = result.records
-        source = {"kind": "csv", "path": str(args.data)}
-    elif args.synth_days:
-        profiles = _selected_profiles(args.stations)
-        records = synthesize_dataset(profiles, args.synth_days, args.seed)
-        source = {"kind": "synth", "days": args.synth_days,
-                  "stations": [p.name for p in profiles]}
+        records, rejected = result.records, result.rejected
+        if rejected:
+            print(f"{data_path}: skipped {len(rejected)} row(s), the first at line "
+                  f"{rejected[0].line_no} ({rejected[0].reason})", file=sys.stderr)
     else:
-        raise ValidationError("either --data or --synth-days is required")
+        records = synthesize_dataset(_station_profiles(source["stations"]),
+                                     source["days"], seed)
     if not records:
         raise ValidationError("no usable visibility records")
     if cfg.sample_records > 0 and len(records) > cfg.sample_records:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(records), cfg.sample_records, replace=False))
         records = [records[i] for i in keep]
-    return records, source
+    return records
 
 
 def _build_table(records, cfg: RunConfig):
@@ -417,9 +412,19 @@ def _build_table(records, cfg: RunConfig):
 
 
 def cmd_train(args) -> int:
+    if args.data:
+        if args.stations:
+            raise ValidationError("--stations selects stations for --synth-days; "
+                                  "it cannot be used with --data")
+        source = {"kind": "csv", "path": args.data}
+    elif args.synth_days is not None:
+        source = {"kind": "synth", "days": args.synth_days,
+                  "stations": _station_names(args.stations)}
+    else:
+        raise ValidationError("either --data or --synth-days is required")
     cfg = load_config(args.config)
     out = _out_dir(args)
-    records, source = _load_records(args, cfg)
+    records = _load_records(source, args.seed, cfg)
     qos = _build_table(records, cfg)
     train_idx, _, _ = split_indices(qos.table.n_rows, cfg.split_fractions, args.seed)
     table = qos.table.subset(train_idx)
@@ -541,16 +546,8 @@ def cmd_evaluate(args) -> int:
                        for key, value in manifest["config"].items()})
 
     seed = manifest["seed"]
-    if args.data:
-        namespace = argparse.Namespace(data=args.data, synth_days=None,
-                                       stations=None, seed=seed)
-    elif kind == "csv":
-        namespace = argparse.Namespace(data=source["path"], synth_days=None,
-                                       stations=None, seed=seed)
-    else:
-        namespace = argparse.Namespace(data=None, synth_days=source["days"],
-                                       stations=",".join(source["stations"]), seed=seed)
-    records, _ = _load_records(namespace, cfg)
+    records = _load_records({"kind": "csv", "path": args.data} if args.data else source,
+                            seed, cfg)
     qos = _build_table(records, cfg)
     if qos.table.n_rows != manifest["n_rows"]:
         raise ValidationError(
@@ -570,7 +567,7 @@ def cmd_evaluate(args) -> int:
         model = load_model(base / models[name]["file"])
         predicted = model.predict(test.table.features)
         groups = {"all": np.arange(test.table.n_rows)}
-        for station in sorted(set(test.stations)):
+        for station in sorted(set(test.stations.tolist())):
             groups[station] = np.nonzero(test.stations == station)[0]
         for location, idx in sorted(groups.items()):
             report = compute_metrics(test.table.targets[idx], predicted[idx])
@@ -578,9 +575,9 @@ def cmd_evaluate(args) -> int:
                                 "" if report.mape is None else report.mape,
                                 report.rmse,
                                 "" if report.r2 is None else report.r2))
-        for i in range(test.table.n_rows):
-            prediction_rows.append((name, test.stations[i], i,
-                                    test.table.targets[i], float(predicted[i])))
+        prediction_rows.extend(_rows(np.array(name), test.stations,
+                                     np.arange(test.table.n_rows), test.table.targets,
+                                     predicted))
     _write_csv(out / "metrics.csv", METRIC_HEADER, metric_rows)
     _write_csv(out / "predictions.csv",
                ["model", "location", "row", "actual", "predicted"], prediction_rows)
@@ -618,13 +615,9 @@ def cmd_predict(args) -> int:
             raise CsvParseError(line_no, f"non-finite feature value in {line!r}")
         rows.append(values)
     out_path = Path(args.out) if args.out else _out_dir(args) / "predictions.csv"
-    if rows:
-        X = np.asarray(rows)
-        predictions = model.predict(X)
-        out_rows = [tuple(row) + (float(p),) for row, p in zip(rows, predictions)]
-    else:
-        out_rows = []
-    _write_csv(out_path, expected + ["prediction"], out_rows)
+    predictions = model.predict(np.asarray(rows)).tolist() if rows else []
+    _write_csv(out_path, expected + ["prediction"],
+               (row + [p] for row, p in zip(rows, predictions)))
     return EXIT_OK
 
 
@@ -634,44 +627,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fog-limited FSO link sweeps and QoS model pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="global random seed")
-        p.add_argument("--config", help="key=value parameter file")
-        p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--stations", help="comma-separated station subset")
+    shared = {"--seed": dict(type=int, default=0, help="global random seed"),
+              "--config": dict(help="key=value parameter file"),
+              "--out-dir": dict(default="out", help="output directory"),
+              "--stations": dict(help="comma-separated station subset")}
 
-    p = sub.add_parser("attenuation-sweep", help="visibility/wavelength attenuation CSV")
-    common(p)
-    p.set_defaults(func=cmd_attenuation_sweep)
+    def command(name, func, help, *flags):
+        """A subcommand with the shared flags it reads; it declares the rest."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("link-sweep", help="figure-family link CSVs")
-    common(p)
-    p.set_defaults(func=cmd_link_sweep)
+    command("attenuation-sweep", cmd_attenuation_sweep,
+            "visibility/wavelength attenuation CSV", "--config", "--out-dir")
+    command("link-sweep", cmd_link_sweep, "figure-family link CSVs", "--config", "--out-dir")
 
-    p = sub.add_parser("synth-data", help="seeded synthetic visibility archive")
-    common(p)
+    p = command("synth-data", cmd_synth_data, "seeded synthetic visibility archive",
+                "--seed", "--out-dir", "--stations")
     p.add_argument("--days", type=int, default=3650, help="days per station")
-    p.set_defaults(func=cmd_synth_data)
 
-    p = sub.add_parser("train", help="fit the five QoS models")
-    common(p)
-    p.add_argument("--data", help="visibility CSV (from synth-data or external)")
-    p.add_argument("--synth-days", type=int,
-                   help="synthesize this many days instead of reading --data")
-    p.set_defaults(func=cmd_train)
+    p = command("train", cmd_train, "fit the five QoS models",
+                "--seed", "--config", "--out-dir", "--stations")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", help="visibility CSV (from synth-data or external)")
+    source.add_argument("--synth-days", type=int,
+                        help="synthesize this many days (of --stations) instead")
 
-    p = sub.add_parser("evaluate", help="score saved models on the held-out split")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score saved models on the held-out split",
+                "--out-dir")
     p.add_argument("--data", help="visibility CSV override")
     p.add_argument("--manifest", help="manifest path (default <out-dir>/manifest.json)")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="apply a saved model to a feature CSV")
-    common(p)
+    p = command("predict", cmd_predict, "apply a saved model to a feature CSV", "--out-dir")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--features", required=True, help="feature CSV matching the model schema")
     p.add_argument("--out", help="output CSV (default <out-dir>/predictions.csv)")
-    p.set_defaults(func=cmd_predict)
     return parser
 
 

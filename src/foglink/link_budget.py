@@ -85,12 +85,11 @@ class ReceiverNoiseConfig:
     dark_current_a: float = 10e-9
     temperature_k: float = 298.0
     electrical_bandwidth_hz: float = 1.0e9
-    boltzmann_j_per_k: float = BOLTZMANN_J_PER_K
     planck_js: float = PLANCK_JS
 
     def __post_init__(self) -> None:
         for name in ("responsivity_a_per_w", "load_resistance_ohm", "temperature_k",
-                     "electrical_bandwidth_hz", "boltzmann_j_per_k", "planck_js"):
+                     "electrical_bandwidth_hz", "planck_js"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dark_current_a < 0:
@@ -216,7 +215,7 @@ def electrical_snr_linear(p_received_w: float, noise: ReceiverNoiseConfig) -> fl
     photocurrent = noise.responsivity_a_per_w * p_received_w
     bw = noise.electrical_bandwidth_hz
     shot = 2.0 * ELECTRON_CHARGE_C * (photocurrent + noise.dark_current_a) * bw
-    thermal = 4.0 * noise.boltzmann_j_per_k * noise.temperature_k * bw / noise.load_resistance_ohm
+    thermal = 4.0 * BOLTZMANN_J_PER_K * noise.temperature_k * bw / noise.load_resistance_ohm
     return np.square(photocurrent) / (shot + thermal)
 
 
@@ -269,7 +268,7 @@ def _received_power_for_snr(snr_linear: float, noise: ReceiverNoiseConfig) -> fl
     bw = noise.electrical_bandwidth_hz
     shot_slope = ELECTRON_CHARGE_C * bw  # d(shot)/d(photocurrent) / 2
     fixed = (2.0 * ELECTRON_CHARGE_C * noise.dark_current_a * bw
-             + 4.0 * noise.boltzmann_j_per_k * noise.temperature_k * bw
+             + 4.0 * BOLTZMANN_J_PER_K * noise.temperature_k * bw
              / noise.load_resistance_ohm)
     photocurrent = (snr_linear * shot_slope
                     + np.sqrt(np.square(snr_linear * shot_slope) + snr_linear * fixed))

@@ -51,7 +51,9 @@ class LearnerSpec:
     """Base-learner descriptor: a kind tag plus keyword hyperparameters.
 
     Kinds: ``tree``, ``forest``, ``gbr``, ``adbr``, plus the trivial ``mean``
-    and ``constant`` learners used in tests.
+    and ``constant`` learners used in tests.  A kind's parameters are the
+    keyword-only arguments of its fit in ``_LEARNERS``; ``fit_base_learner``
+    refuses an unknown kind or parameter with a ``ValueError`` naming it.
     """
 
     kind: str
@@ -88,37 +90,47 @@ class _MeanLearner:
         return np.full(np.asarray(X).shape[0], self.value)
 
 
+def _tree(data, seed, *, min_leaf_size=1, max_depth=None):
+    return fit_regression_tree(data, min_leaf_size, max_depth=max_depth)
+
+
+def _forest(data, seed, *, n_trees=30, mtry=None, min_leaf_size=5):
+    if mtry is None:
+        mtry = default_mtry_regression(data.n_features)
+    return fit_random_forest(data, n_trees, mtry, min_leaf_size, seed)
+
+
+def _gbr(data, seed, *, n_trees=100, learning_rate=0.1, min_leaf_size=5, max_depth=None):
+    return fit_gradient_boost(data, n_trees, learning_rate, min_leaf_size, max_depth=max_depth)
+
+
+def _adbr(data, seed, *, n_rounds=20, min_leaf_size=5, max_depth=3):
+    return fit_adaboost_r2(data, n_rounds, min_leaf_size, max_depth=max_depth)
+
+
+def _mean(data, seed):
+    return _MeanLearner(float(np.mean(data.targets)))
+
+
+def _constant(data, seed, *, value=0.0):
+    return _MeanLearner(float(value))
+
+
+# kind -> fit(data, seed, **params); the keyword-only defaults list the parameters
+_LEARNERS = {"tree": _tree, "forest": _forest, "gbr": _gbr, "adbr": _adbr,
+             "mean": _mean, "constant": _constant}
+
+
 def fit_base_learner(spec: LearnerSpec, data: LabeledTable, seed: int):
     """Train one base learner described by ``spec`` on ``data``."""
-    p = dict(spec.params)
-    if spec.kind == "tree":
-        return fit_regression_tree(data, p.pop("min_leaf_size", 1),
-                                   max_depth=p.pop("max_depth", None))
-    if spec.kind == "forest":
-        return fit_random_forest(
-            data,
-            n_trees=p.pop("n_trees", 30),
-            mtry=p.pop("mtry", default_mtry_regression(data.n_features)),
-            min_leaf_size=p.pop("min_leaf_size", 5),
-            seed=p.pop("seed", seed))
-    if spec.kind == "gbr":
-        return fit_gradient_boost(
-            data,
-            n_trees=p.pop("n_trees", 100),
-            learning_rate=p.pop("learning_rate", 0.1),
-            min_leaf_size=p.pop("min_leaf_size", 5),
-            max_depth=p.pop("max_depth", None))
-    if spec.kind == "adbr":
-        return fit_adaboost_r2(
-            data,
-            n_rounds=p.pop("n_rounds", 20),
-            min_leaf_size=p.pop("min_leaf_size", 5),
-            max_depth=p.pop("max_depth", 3))
-    if spec.kind == "mean":
-        return _MeanLearner(float(np.mean(data.targets)))
-    if spec.kind == "constant":
-        return _MeanLearner(float(p.pop("value", 0.0)))
-    raise ValueError(f"unknown base learner kind {spec.kind!r}")
+    fit = _LEARNERS.get(spec.kind)
+    if fit is None:
+        raise ValueError(f"unknown base learner kind {spec.kind!r}")
+    unknown = sorted(set(spec.params) - set(fit.__kwdefaults__ or ()))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for base learner kind {spec.kind!r}: "
+                         f"{', '.join(unknown)}")
+    return fit(data, seed, **spec.params)
 
 
 def kfold_partition(m: int, n_folds: int, seed: int) -> list[np.ndarray]:

@@ -63,6 +63,10 @@ class TestConfig:
         path = write_cfg(tmp_path, "rx_sensitivity_dbm = -40.0\n")  # removed: no formula read it
         with pytest.raises(ValueError, match="unknown config keys: rx_sensitivity_dbm"):
             load_config(path)
+        # removed: no command's formula read them
+        path = write_cfg(tmp_path, "tx_efficiency = 0.9\nrx_efficiency = 0.9\n")
+        with pytest.raises(ValueError, match="unknown config keys: rx_efficiency, tx_efficiency$"):
+            load_config(path)
 
     def test_example_config_file_parses_to_defaults(self):
         assert load_config("configs/default.cfg") == RunConfig()
@@ -273,6 +277,33 @@ class TestTrain:
     def test_requires_data_or_synth(self, tmp_path):
         assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_data_and_synth_days_are_exclusive(self, trained, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(trained["data"]), "--synth-days", "3",
+                  "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_stations_with_data_refused(self, trained, tmp_path, capsys):
+        assert main(["train", "--data", str(trained["data"]), "--stations", "George",
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--stations" in err and "--data" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_skipped_visibility_rows_reported(self, trained, tmp_path, capsys):
+        lines = trained["data"].read_text().splitlines()
+        station, date, hour, _, wind, altitude = lines[3].split(",")
+        lines[3] = ",".join((station, date, hour, "-1.0", wind, altitude))
+        bad = tmp_path / "visibility.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(bad), "--config", str(trained["cfg"]),
+                     "--seed", "5", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            f"{bad}: skipped 1 row(s), the first at line 4 (nonpositive visibility)\n")
+        assert main(["evaluate", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+        assert "skipped 1 row(s), the first at line 4" in capsys.readouterr().err
+
     def test_stacked_reuses_seed_free_fits(self, trained, tmp_path, monkeypatch):
         """rf, gbr and adbr are fitted once per fold plus once on the full
         table; the stacked model reuses that full-table fit, and its file is
@@ -326,11 +357,8 @@ class TestEvaluate:
         manifest = json.loads((out / "manifest.json").read_text())
         # memorise the whole rebuilt table, then score it on the test rows
         from foglink.cli import _build_table, _load_records
-        import argparse
         cfg = load_config(str(trained["cfg"]))
-        ns = argparse.Namespace(data=str(trained["data"]), synth_days=None,
-                                stations=None, seed=manifest["seed"])
-        records, _ = _load_records(ns, cfg)
+        records = _load_records(manifest["source"], manifest["seed"], cfg)
         qos = _build_table(records, cfg)
         oracle = fit_regression_tree(qos.table, 1)
         save_model(oracle, out / "models" / "oracle.json")
@@ -421,12 +449,14 @@ class TestEvaluate:
     def test_unknown_manifest_config_key_named(self, trained, tmp_path, capsys):
         manifest = json.loads((trained["out"] / "manifest.json").read_text())
         manifest["config"]["bogus_key"] = 1
-        manifest["config"]["rx_sensitivity_dbm"] = -40.0  # a removed key, as old manifests hold
+        manifest["config"]["rx_sensitivity_dbm"] = -40.0  # removed keys, as old manifests hold
+        manifest["config"]["tx_efficiency"] = manifest["config"]["rx_efficiency"] = 0.8
         patched = tmp_path / "manifest.json"
         patched.write_text(json.dumps(manifest))
         assert main(["evaluate", "--data", str(trained["data"]),
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-        assert "unknown config keys: bogus_key, rx_sensitivity_dbm" in capsys.readouterr().err
+        assert ("unknown config keys: bogus_key, rx_efficiency, rx_sensitivity_dbm, "
+                "tx_efficiency") in capsys.readouterr().err
 
 
 class TestPredict:
@@ -533,6 +563,27 @@ class TestPredict:
                      "--out", str(tmp_path / "pred.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "gbr.json" in err and "init_value" in err
+
+
+# flags each command used to accept and ignore
+REMOVED_FLAGS = [(command, flag) for command in ("attenuation-sweep", "link-sweep")
+                 for flag in ("--seed", "--stations")] + [
+    ("synth-data", "--config"),
+    *(("evaluate", flag) for flag in ("--seed", "--config", "--stations")),
+    *(("predict", flag) for flag in ("--seed", "--config", "--stations"))]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+def test_unread_flag_is_usage_error(command, flag, tmp_path, capsys):
+    value = {"--seed": "3", "--config": str(tmp_path / "x.cfg"), "--stations": "George"}[flag]
+    required = ["--model", "m.json", "--features", "f.csv"] if command == "predict" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, value, "--out-dir", str(tmp_path)] + required)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err_text
+    assert "Traceback" not in err_text
 
 
 class TestExitCodes:

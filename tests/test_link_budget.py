@@ -348,6 +348,11 @@ class TestConfigValidation:
             RfBudgetInputs(tx_power_dbm=20.0, wavelength_m=np.array([1.55e-6, 0.0]))
         TransceiverConfig(tx_power_w=np.array([0.1, 1.0]), rx_efficiency=np.array([1.0]))
 
+    def test_boltzmann_constant_not_a_noise_field(self):
+        """The thermal noise and the dB budget share the module constant."""
+        with pytest.raises(TypeError, match="boltzmann_j_per_k"):
+            ReceiverNoiseConfig(boltzmann_j_per_k=1.0)
+
 
 class TestDbConversions:
     @given(st.floats(min_value=-100.0, max_value=100.0))

@@ -344,3 +344,14 @@ def test_config_validation():
         StackConfig((LearnerSpec("mean"),) * 11)
     with pytest.raises(ValueError):
         StackConfig((LearnerSpec("tree"),), n_folds=1)
+
+
+@pytest.mark.parametrize("kind, params, named", [("tree", {"min_leaf": 20}, "min_leaf"),
+                                                 ("forest", {"n_tree": 2}, "n_tree"),
+                                                 ("forest", {"seed": 7}, "seed")],
+                         ids=["tree-min_leaf", "forest-n_tree", "forest-seed"])
+def test_unknown_learner_parameter_named(kind, params, named):
+    """A misspelt parameter is refused instead of fitting with the default."""
+    with pytest.raises(ValueError,
+                       match=f"unknown parameter\\(s\\) for base learner kind '{kind}': {named}$"):
+        fit_base_learner(LearnerSpec(kind, params), random_table(30, 3, 0), seed=0)
