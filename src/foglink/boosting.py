@@ -10,7 +10,7 @@ so the stage trees are ordinary CART fits on the residual vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,12 +26,6 @@ class GradientBoostModel:
     min_leaf_size: int
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
-
-    def predict_row(self, x: Sequence[float]) -> float:
-        total = self.init_value
-        for tree in self.trees:
-            total += self.learning_rate * tree.predict_row(x)
-        return total
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -214,16 +214,21 @@ def _run_config(values: dict) -> RunConfig:
     return cfg
 
 
+def _input_file(path, what: str) -> Path:
+    """``path`` as a Path; a missing path or a directory is a ValidationError."""
+    file = Path(path)
+    if not file.is_file():
+        raise ValidationError(f"{what} not found or not a regular file: {path}")
+    return file
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     """Defaults, overridden by a flat key=value file when one is given."""
     if path is None:
         return RunConfig()
-    file = Path(path)
-    if not file.exists():
-        raise ValidationError(f"config file not found: {path}")
     defaults = {f.name: f.default for f in fields(RunConfig)}
     updates = {}
-    for raw in file.read_text().splitlines():
+    for raw in _input_file(path, "config file").read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -383,9 +388,7 @@ def _load_records(source: dict, seed: int, cfg: RunConfig):
     """The records ``source`` (as a manifest stores it) describes, subsampled
     with ``seed``; skipped CSV rows are reported on stderr."""
     if source["kind"] == "csv":
-        data_path = Path(source["path"])
-        if not data_path.exists():
-            raise ValidationError(f"data file not found: {source['path']}")
+        data_path = _input_file(source["path"], "data file")
         result = parse_visibility_csv(data_path.read_text().splitlines())
         records, rejected = result.records, result.rejected
         if rejected:
@@ -517,9 +520,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    manifest_path = Path(args.manifest) if args.manifest else out / "manifest.json"
-    if not manifest_path.exists():
-        raise ValidationError(f"manifest not found: {manifest_path}")
+    manifest_path = _input_file(args.manifest or out / "manifest.json", "manifest")
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest {manifest_path} is not a JSON object")
@@ -557,7 +558,7 @@ def cmd_evaluate(args) -> int:
     test = qos.subset(test_idx)
 
     base = manifest_path.parent
-    missing = [name for name, entry in models.items() if not (base / entry["file"]).exists()]
+    missing = [name for name, entry in models.items() if not (base / entry["file"]).is_file()]
     if missing:
         raise ValidationError("missing model file(s): " + ", ".join(
             str(base / models[name]["file"]) for name in missing))
@@ -585,11 +586,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    feature_path = Path(args.features)
-    for path in (model_path, feature_path):
-        if not path.exists():
-            raise ValidationError(f"file not found: {path}")
+    model_path = _input_file(args.model, "model file")
+    feature_path = _input_file(args.features, "feature file")
     model = load_model(model_path)
     lines = feature_path.read_text().splitlines()
     if not lines:
@@ -614,7 +612,8 @@ def cmd_predict(args) -> int:
         if not all(map(math.isfinite, values)):
             raise CsvParseError(line_no, f"non-finite feature value in {line!r}")
         rows.append(values)
-    out_path = Path(args.out) if args.out else _out_dir(args) / "predictions.csv"
+    out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     predictions = model.predict(np.asarray(rows)).tolist() if rows else []
     _write_csv(out_path, expected + ["prediction"],
                (row + [p] for row, p in zip(rows, predictions)))

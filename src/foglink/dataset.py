@@ -302,9 +302,3 @@ def split_indices(m: int, fractions: Sequence[float], seed: int) -> tuple[np.nda
         groups.append(order[start:start + size])
         start += size
     return tuple(groups)
-
-
-def split_dataset(table: LabeledTable, fractions: Sequence[float],
-                  seed: int) -> tuple[LabeledTable, ...]:
-    """Shuffled row partition of a table, deterministic per seed."""
-    return tuple(table.subset(idx) for idx in split_indices(table.n_rows, fractions, seed))

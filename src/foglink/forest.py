@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,10 +21,6 @@ from .tree import RegressionTree, fit_regression_tree
 
 def default_mtry_regression(n_features: int) -> int:
     return max(1, math.ceil(n_features / 3))
-
-
-def default_mtry_classification(n_features: int) -> int:
-    return max(1, math.ceil(math.sqrt(n_features)))
 
 
 @dataclass
@@ -37,19 +33,14 @@ class RandomForestModel:
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
 
-    def predict_row(self, x: Sequence[float]) -> float:
-        return float(np.mean([tree.predict_row(x) for tree in self.trees]))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         member = np.stack([tree.predict(X) for tree in self.trees])
         return member.mean(axis=0)
 
 
 def fit_random_forest(data: LabeledTable, n_trees: int, mtry: int,
-                      min_leaf_size: int, seed: int, *,
-                      bootstrap: bool = True) -> RandomForestModel:
-    """Fit ``n_trees`` bagged trees; ``bootstrap=False`` trains every tree on
-    the full sample (degenerate ensemble, no OOB estimate)."""
+                      min_leaf_size: int, seed: int) -> RandomForestModel:
+    """Fit ``n_trees`` bagged trees."""
     if n_trees < 1:
         raise ValueError(f"n_trees must be positive, got {n_trees}")
     if not 1 <= mtry <= data.n_features:
@@ -62,18 +53,14 @@ def fit_random_forest(data: LabeledTable, n_trees: int, mtry: int,
     oob_count = np.zeros(m, dtype=int)
     for stream in streams:
         rng = np.random.default_rng(stream)
-        if bootstrap:
-            picked = rng.integers(0, m, size=m)
-        else:
-            picked = np.arange(m)
+        picked = rng.integers(0, m, size=m)
         tree = fit_regression_tree(data.subset(picked), min_leaf_size,
                                    _mtry=mtry, _rng=rng)
         trees.append(tree)
-        if bootstrap:
-            out_rows = np.setdiff1d(np.arange(m), picked, assume_unique=False)
-            if out_rows.size:
-                oob_sum[out_rows] += tree.predict(data.features[out_rows])
-                oob_count[out_rows] += 1
+        out_rows = np.setdiff1d(np.arange(m), picked, assume_unique=False)
+        if out_rows.size:
+            oob_sum[out_rows] += tree.predict(data.features[out_rows])
+            oob_count[out_rows] += 1
 
     covered = oob_count > 0
     if covered.any():

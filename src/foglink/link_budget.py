@@ -85,11 +85,10 @@ class ReceiverNoiseConfig:
     dark_current_a: float = 10e-9
     temperature_k: float = 298.0
     electrical_bandwidth_hz: float = 1.0e9
-    planck_js: float = PLANCK_JS
 
     def __post_init__(self) -> None:
         for name in ("responsivity_a_per_w", "load_resistance_ohm", "temperature_k",
-                     "electrical_bandwidth_hz", "planck_js"):
+                     "electrical_bandwidth_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dark_current_a < 0:
@@ -139,9 +138,10 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def photon_energy(wavelength_nm: float, noise: ReceiverNoiseConfig) -> float:
-    """Photon energy h*c/lambda in joules."""
+    """Photon energy h*c/lambda in joules, with h = ``PLANCK_JS``; ``noise``
+    is not read."""
     _reject(wavelength_nm <= 0, "wavelength_nm must be positive, got {}", wavelength_nm)
-    return noise.planck_js * SPEED_OF_LIGHT_M_PER_S / (wavelength_nm * 1e-9)
+    return PLANCK_JS * SPEED_OF_LIGHT_M_PER_S / (wavelength_nm * 1e-9)
 
 
 def received_power_geometric(cfg: TransceiverConfig, atten_db_per_km: float,

@@ -58,13 +58,6 @@ def _derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def activation(kind: ActivationKind, t: float) -> float:
-    """Scalar activation value for one pre-activation input."""
-    if not np.isfinite(t):
-        raise ValueError(f"activation input must be finite, got {t}")
-    return float(_apply(kind, np.asarray(float(t))))
-
-
 @dataclass
 class MLPModel:
     """Layer sizes, per-layer weight matrices (fan_in x fan_out, row-major)
@@ -142,12 +135,6 @@ class MLPModel:
         _, post = self._forward_batch(X)
         return post[-1][:, 0]
 
-    def predict_row(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.layer_sizes[0],):
-            raise ValueError(f"expected {self.layer_sizes[0]} features, got shape {x.shape}")
-        return float(self.predict(x[None, :])[0])
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -155,7 +142,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int = 0
-    split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
     early_stop_patience: int = 0  # 0 disables validation-based early stopping
 
     def __post_init__(self) -> None:
@@ -166,9 +152,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be nonnegative")
-        fr = self.split_fractions
-        if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError(f"split_fractions must be three positives summing to 1, got {fr}")
 
 
 @dataclass
@@ -204,7 +187,8 @@ def _gradients(model: MLPModel, X: np.ndarray, y: np.ndarray):
 def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
     """Mini-batch gradient descent on mean squared error.
 
-    Rows are shuffled once and split per ``cfg.split_fractions``; input
+    Rows are shuffled once and split 70/15/15 into training, validation and
+    test rows; the test rows are only reported, never used.  Input
     standardisation is fitted on the training rows only.  With a positive
     patience, training stops after that many epochs without validation
     improvement and the best-validation parameters are restored.
@@ -217,9 +201,8 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(data.n_rows)
-    n_train, n_val, _ = partition_sizes(data.n_rows, cfg.split_fractions)
-    if n_train == 0:
-        raise ValueError("training split is empty; adjust split_fractions or add rows")
+    # largest-remainder rounding gives the 0.7 share a row whenever there is one
+    n_train, n_val, _ = partition_sizes(data.n_rows, (0.7, 0.15, 0.15))
     train_rows = order[:n_train]
     val_rows = order[n_train:n_train + n_val]
     test_rows = order[n_train + n_val:]

@@ -21,7 +21,7 @@ from .adaboost import AdaBoostMode, AdaBoostModel, Stump
 from .boosting import GradientBoostModel
 from .forest import RandomForestModel
 from .neural import ActivationKind, MLPModel
-from .stacking import LearnerSpec, StackedModel, _MeanLearner
+from .stacking import LearnerSpec, StackedModel
 from .tree import RegressionTree
 
 AnyModel = Union[RegressionTree, RandomForestModel, GradientBoostModel,
@@ -91,8 +91,6 @@ def model_to_dict(model: AnyModel) -> dict:
                           for s in model.specs],
                 "n_features": model.n_features, "feature_names": _names(model),
                 "base_models": [model_to_dict(m) for m in model.final_base_learners]}
-    if isinstance(model, _MeanLearner):
-        return {"model": "constant", "value": model.value}
     if isinstance(model, MLPModel):
         return {"model": "mlp", "layer_sizes": list(model.layer_sizes),
                 "hidden_activation": model.hidden_activation.value,
@@ -145,8 +143,6 @@ def model_from_dict(d: dict) -> AnyModel:
                              f"{len(base)} base models")
         return StackedModel(final_base_learners=base, weights=weights, specs=specs,
                             n_features=int(d["n_features"]), feature_names=names)
-    if kind == "constant":
-        return _MeanLearner(float(d["value"]))
     if kind == "mlp":
         return MLPModel(layer_sizes=tuple(int(s) for s in d["layer_sizes"]),
                         weights=[np.asarray(w, dtype=float) for w in d["weights"]],

@@ -50,10 +50,10 @@ class StackingError(RuntimeError):
 class LearnerSpec:
     """Base-learner descriptor: a kind tag plus keyword hyperparameters.
 
-    Kinds: ``tree``, ``forest``, ``gbr``, ``adbr``, plus the trivial ``mean``
-    and ``constant`` learners used in tests.  A kind's parameters are the
-    keyword-only arguments of its fit in ``_LEARNERS``; ``fit_base_learner``
-    refuses an unknown kind or parameter with a ``ValueError`` naming it.
+    Kinds: ``tree``, ``forest``, ``gbr`` and ``adbr``.  A kind's parameters
+    are the keyword-only arguments of its fit in ``_LEARNERS``;
+    ``fit_base_learner`` refuses an unknown kind or parameter with a
+    ``ValueError`` naming it.
     """
 
     kind: str
@@ -79,17 +79,6 @@ class StackConfig:
             raise ValueError(f"n_folds must be at least 2, got {self.n_folds}")
 
 
-@dataclass
-class _MeanLearner:
-    value: float
-
-    def predict_row(self, x) -> float:
-        return self.value
-
-    def predict(self, X) -> np.ndarray:
-        return np.full(np.asarray(X).shape[0], self.value)
-
-
 def _tree(data, seed, *, min_leaf_size=1, max_depth=None):
     return fit_regression_tree(data, min_leaf_size, max_depth=max_depth)
 
@@ -108,17 +97,8 @@ def _adbr(data, seed, *, n_rounds=20, min_leaf_size=5, max_depth=3):
     return fit_adaboost_r2(data, n_rounds, min_leaf_size, max_depth=max_depth)
 
 
-def _mean(data, seed):
-    return _MeanLearner(float(np.mean(data.targets)))
-
-
-def _constant(data, seed, *, value=0.0):
-    return _MeanLearner(float(value))
-
-
 # kind -> fit(data, seed, **params); the keyword-only defaults list the parameters
-_LEARNERS = {"tree": _tree, "forest": _forest, "gbr": _gbr, "adbr": _adbr,
-             "mean": _mean, "constant": _constant}
+_LEARNERS = {"tree": _tree, "forest": _forest, "gbr": _gbr, "adbr": _adbr}
 
 
 def fit_base_learner(spec: LearnerSpec, data: LabeledTable, seed: int):
@@ -251,12 +231,6 @@ class StackedModel:
         if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("stacking weights must be finite, nonnegative and sum to one")
         object.__setattr__(self, "weights", w)
-
-    def predict_row(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        return float(self.predict(x[None, :])[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Weighted sum of the base predictions; zero-weight learners are skipped."""

@@ -259,13 +259,12 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
     return nodes
 
 
-def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
-                        feature_subset: Optional[Sequence[int]] = None, *,
+def fit_regression_tree(data: LabeledTable, min_leaf_size: int, *,
                         max_depth: Optional[int] = None,
                         sample_weight: Optional[np.ndarray] = None,
                         _mtry: Optional[int] = None,
                         _rng: Optional[np.random.Generator] = None) -> RegressionTree:
-    """Grow a tree on the whole table (or on ``feature_subset`` columns only).
+    """Grow a tree on the whole table.
 
     ``sample_weight`` makes split errors and leaf values weighted, which the
     boosting reweighters rely on; ``_mtry``/``_rng`` draw a fresh random
@@ -275,12 +274,6 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
         raise ValueError("cannot fit a tree on an empty table")
     if min_leaf_size < 1:
         raise ValueError(f"min_leaf_size must be positive, got {min_leaf_size}")
-    if feature_subset is None:
-        allowed = np.arange(data.n_features)
-    else:
-        allowed = np.unique(np.asarray(feature_subset, dtype=int))
-        if allowed.size == 0 or allowed.min() < 0 or allowed.max() >= data.n_features:
-            raise ValueError(f"feature_subset out of range for k={data.n_features}")
     if sample_weight is None:
         w = np.ones(data.n_rows)
     else:
@@ -288,6 +281,6 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int,
         if w.shape != (data.n_rows,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
     nodes = _grow(data.features, data.targets, w, min_leaf_size, max_depth,
-                  allowed, _mtry, _rng)
+                  np.arange(data.n_features), _mtry, _rng)
     return RegressionTree(*nodes, min_leaf_size=min_leaf_size,
                           n_features=data.n_features, feature_names=data.feature_names)

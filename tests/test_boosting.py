@@ -71,13 +71,6 @@ def test_staging_identity_is_exact():
         assert np.array_equal(staged[n], staged[n - 1] + increment)
 
 
-def test_predict_row_matches_batch():
-    model = fit_gradient_boost(TEN_POINT, 10, 0.4, 2)
-    x = np.array([4.2])
-    assert model.predict_row(x) == pytest.approx(
-        float(model.predict(x[None, :])[0]), rel=1e-15)
-
-
 def test_learning_rate_domain():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):

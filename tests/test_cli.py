@@ -481,6 +481,17 @@ class TestPredict:
         rows = read_csv(out)
         assert [float(r["prediction"]) for r in rows] == pytest.approx(list(y), rel=1e-12)
 
+    def test_out_parent_directories_created(self, tree_file, tmp_path):
+        path, X, y = tree_file
+        feats = tmp_path / "feats.csv"
+        feats.write_text("u,v\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in X))
+        out = tmp_path / "new" / "nested" / "pred.csv"
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(out), "--out-dir", str(tmp_path / "unused")]) == EXIT_OK
+        assert [float(r["prediction"]) for r in read_csv(out)] == pytest.approx(list(y),
+                                                                               rel=1e-12)
+        assert not (tmp_path / "unused").exists()
+
     def test_reordered_columns_refused(self, tree_file, tmp_path):
         path, X, _ = tree_file
         feats = tmp_path / "feats.csv"
@@ -584,6 +595,32 @@ def test_unread_flag_is_usage_error(command, flag, tmp_path, capsys):
     err_text = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} {value}" in err_text
     assert "Traceback" not in err_text
+
+
+# (flag naming an input file, command line around it); {dir} is a directory
+DIRECTORY_INPUTS = [
+    ("--config", ["attenuation-sweep", "--config", "{dir}"]),
+    ("train --data", ["train", "--data", "{dir}"]),
+    ("evaluate --data", ["evaluate", "--manifest", "{manifest}", "--data", "{dir}"]),
+    ("--manifest", ["evaluate", "--manifest", "{dir}"]),
+    ("--model", ["predict", "--model", "{dir}", "--features", "{features}"]),
+    ("--features", ["predict", "--model", "{model}", "--features", "{dir}"]),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in DIRECTORY_INPUTS],
+                         ids=[flag for flag, _ in DIRECTORY_INPUTS])
+def test_directory_as_input_file_is_validation_error(argv, trained, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("u,v\n")
+    paths = {"dir": tmp_path / "folder", "manifest": trained["out"] / "manifest.json",
+             "model": trained["out"] / "models" / "rf.json", "features": features}
+    paths["dir"].mkdir()
+    out = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv]
+                + ["--out-dir", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"not a regular file: {paths['dir']}" in err and "Traceback" not in err
 
 
 class TestExitCodes:

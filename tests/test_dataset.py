@@ -22,7 +22,6 @@ from foglink.dataset import (
     aggregate_station_climatology,
     build_qos_table,
     parse_visibility_csv,
-    split_dataset,
     split_indices,
     synthesize_dataset,
     write_visibility_csv,
@@ -37,7 +36,6 @@ from foglink.link_budget import (
     snr_budget_db,
     watts_to_dbm,
 )
-from foglink.tables import LabeledTable
 
 
 def record(station="Test", visibility=2.0, hour=8, day=1):
@@ -242,19 +240,13 @@ class TestBuildQosTable:
 
 
 class TestSplit:
-    def make_table(self, m):
-        rng = np.random.default_rng(0)
-        return LabeledTable(rng.normal(size=(m, 2)), rng.normal(size=m), ("a", "b"))
-
     def test_exact_split_100(self):
-        parts = split_dataset(self.make_table(100), (0.7, 0.15, 0.15), seed=0)
-        assert [p.n_rows for p in parts] == [70, 15, 15]
+        parts = split_indices(100, (0.7, 0.15, 0.15), seed=0)
+        assert [len(p) for p in parts] == [70, 15, 15]
 
     def test_union_is_original_multiset(self):
-        table = self.make_table(37)
-        parts = split_dataset(table, (0.5, 0.25, 0.25), seed=1)
-        merged = np.sort(np.concatenate([p.targets for p in parts]))
-        assert np.array_equal(merged, np.sort(table.targets))
+        parts = split_indices(37, (0.5, 0.25, 0.25), seed=1)
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(37))
 
     def test_deterministic(self):
         a = split_indices(50, (0.7, 0.15, 0.15), seed=9)
@@ -268,9 +260,9 @@ class TestSplit:
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
-            split_dataset(self.make_table(10), (0.7, 0.2, 0.2), seed=0)
+            split_indices(10, (0.7, 0.2, 0.2), seed=0)
         with pytest.raises(ValueError):
-            split_dataset(self.make_table(10), (0.8, -0.1, 0.3), seed=0)
+            split_indices(10, (0.8, -0.1, 0.3), seed=0)
 
 
 def test_default_profiles_cover_four_stations():

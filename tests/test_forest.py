@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from foglink.forest import (
-    default_mtry_classification,
-    default_mtry_regression,
-    fit_random_forest,
-)
+from foglink.forest import default_mtry_regression, fit_random_forest
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
 
@@ -20,17 +16,6 @@ def linear_data(n, seed, noise=0.0):
 def test_default_mtry_rules():
     assert default_mtry_regression(5) == 2
     assert default_mtry_regression(3) == 1
-    assert default_mtry_classification(5) == 3
-    assert default_mtry_classification(9) == 3
-
-
-def test_degenerate_forest_equals_single_tree():
-    data = linear_data(20, 0)
-    forest = fit_random_forest(data, 1, mtry=2, min_leaf_size=3, seed=5, bootstrap=False)
-    tree = fit_regression_tree(data, 3)
-    grid = np.random.default_rng(1).uniform(-1, 1, size=(30, 2))
-    assert forest.predict(grid) == pytest.approx(tree.predict(grid), rel=1e-12)
-    assert forest.oob_error is None
 
 
 def test_constant_targets():
@@ -62,9 +47,10 @@ def test_prediction_is_mean_of_member_trees():
     data = linear_data(25, 6, noise=0.2)
     forest = fit_random_forest(data, 7, 2, 3, seed=9)
     x = np.array([0.3, -0.4])
-    member = [tree.predict_row(x) for tree in forest.trees]
-    assert forest.predict_row(x) == pytest.approx(np.mean(member), rel=1e-12)
-    assert min(member) <= forest.predict_row(x) <= max(member)
+    member = [tree.predict(x[None])[0] for tree in forest.trees]
+    predicted = forest.predict(x[None])[0]
+    assert predicted == pytest.approx(np.mean(member), rel=1e-12)
+    assert min(member) <= predicted <= max(member)
 
 
 def test_forest_smooths_coarse_trees_on_linear_data():

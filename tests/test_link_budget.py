@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from foglink.atmosphere import DB_PER_NEPER
 from foglink.link_budget import (
+    PLANCK_JS,
+    SPEED_OF_LIGHT_M_PER_S,
     OokScheme,
     ReceiverNoiseConfig,
     RfBudgetInputs,
@@ -352,6 +354,12 @@ class TestConfigValidation:
         """The thermal noise and the dB budget share the module constant."""
         with pytest.raises(TypeError, match="boltzmann_j_per_k"):
             ReceiverNoiseConfig(boltzmann_j_per_k=1.0)
+
+    def test_planck_constant_not_a_noise_field(self):
+        """The photon energy takes Planck's constant from the module."""
+        with pytest.raises(TypeError, match="planck_js"):
+            ReceiverNoiseConfig(planck_js=1.0)
+        assert photon_energy(1550.0, NOISE) == PLANCK_JS * SPEED_OF_LIGHT_M_PER_S / (1550.0 * 1e-9)
 
 
 class TestDbConversions:

@@ -15,7 +15,6 @@ from foglink.stacking import (
     StackConfig,
     StackedModel,
     StackingError,
-    _MeanLearner,
     build_level1_sample,
     fit_base_learner,
     fit_stacked,
@@ -31,6 +30,28 @@ def random_table(m, k, seed):
     X = rng.uniform(-1, 1, size=(m, k))
     y = X @ rng.normal(size=k) + 0.1 * rng.normal(size=m)
     return LabeledTable(X, y, tuple(f"f{i}" for i in range(k)))
+
+
+class Constant:
+    """A fitted learner that predicts ``value`` for every row."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict(self, X):
+        return np.full(np.asarray(X).shape[0], self.value)
+
+
+@pytest.fixture
+def constant_kind(monkeypatch):
+    """Adds the learner kind ``constant`` (parameter ``value``); the fold pool
+    forks after the patch, so its workers know the kind too."""
+    monkeypatch.setitem(stacking._LEARNERS, "constant",
+                        lambda data, seed, *, value=0.0: Constant(float(value)))
+
+
+# a depth-0 tree is one leaf holding the mean target of its rows
+MEAN = LearnerSpec("tree", {"max_depth": 0}, name="mean")
 
 
 def fold_paths():
@@ -64,7 +85,7 @@ class TestKfold:
 
 
 class TestLevel1:
-    def test_constant_zero_learner_gives_zero_column(self):
+    def test_constant_zero_learner_gives_zero_column(self, constant_kind):
         data = random_table(12, 2, 0)
         cfg = StackConfig((LearnerSpec("constant", {"value": 0.0}),), n_folds=3, seed=1)
         level1 = build_level1_sample(data, cfg)
@@ -74,7 +95,7 @@ class TestLevel1:
 
     def test_mean_learner_sees_only_out_of_fold_targets(self):
         data = random_table(6, 1, 3)
-        cfg = StackConfig((LearnerSpec("mean"),), n_folds=2, seed=5)
+        cfg = StackConfig((MEAN,), n_folds=2, seed=5)
         level1 = build_level1_sample(data, cfg)
         folds = kfold_partition(6, 2, seed=5)
         for fold, other in ((folds[0], folds[1]), (folds[1], folds[0])):
@@ -83,7 +104,7 @@ class TestLevel1:
 
     def test_shape_and_names(self):
         data = random_table(20, 3, 4)
-        cfg = StackConfig((LearnerSpec("tree"), LearnerSpec("mean")), n_folds=4, seed=0)
+        cfg = StackConfig((LearnerSpec("tree"), MEAN), n_folds=4, seed=0)
         level1 = build_level1_sample(data, cfg)
         assert level1.features.shape == (20, 2)
         assert level1.feature_names == ("tree_0", "mean_1")
@@ -270,7 +291,7 @@ class TestSolveWeights:
 
 
 class TestStackedModel:
-    def test_one_hot_weights_reduce_to_base_learner(self):
+    def test_one_hot_weights_reduce_to_base_learner(self, constant_kind):
         data = random_table(20, 2, 17)
         cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 1}),
                            LearnerSpec("constant", {"value": 1e6})), n_folds=4, seed=3)
@@ -278,8 +299,8 @@ class TestStackedModel:
         # the memorising tree dominates the absurd constant
         assert model.weights[0] == pytest.approx(1.0, abs=1e-6)
         x = data.features[3]
-        assert model.predict_row(x) == pytest.approx(
-            model.final_base_learners[0].predict_row(x), rel=1e-6)
+        assert model.predict(x[None])[0] == pytest.approx(
+            model.final_base_learners[0].predict(x[None])[0], rel=1e-6)
 
     def test_agreeing_bases_pass_through(self):
         model = StackedModel(
@@ -287,8 +308,8 @@ class TestStackedModel:
             weights=np.array([0.25, 0.75]),
             specs=(LearnerSpec("constant"), LearnerSpec("constant")),
             n_features=1)
-        model.final_base_learners = [_MeanLearner(4.0), _MeanLearner(4.0)]
-        assert model.predict_row([0.0]) == pytest.approx(4.0, rel=1e-12)
+        model.final_base_learners = [Constant(4.0), Constant(4.0)]
+        assert model.predict(np.zeros((1, 1)))[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_weight_learners_are_not_evaluated(self):
         class Unused:
@@ -296,16 +317,15 @@ class TestStackedModel:
                 raise AssertionError("a zero-weight learner was evaluated")
 
         model = StackedModel(
-            final_base_learners=[_MeanLearner(2.0), Unused(), _MeanLearner(4.0)],
+            final_base_learners=[Constant(2.0), Unused(), Constant(4.0)],
             weights=np.array([0.5, 0.0, 0.5]), specs=(LearnerSpec("constant"),) * 3,
             n_features=1)
         assert model.predict(np.zeros((3, 1))).tolist() == [3.0, 3.0, 3.0]
-        assert model.predict_row([0.0]) == 3.0
 
     def test_prediction_inside_base_range(self):
         data = random_table(30, 2, 19)
         cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 5}),
-                           LearnerSpec("mean"),
+                           MEAN,
                            LearnerSpec("forest", {"n_trees": 5, "min_leaf_size": 3})),
                           n_folds=3, seed=11)
         model = fit_stacked(data, cfg)
@@ -339,9 +359,9 @@ class TestStackedModel:
 def test_config_validation():
     with pytest.raises(ValueError):
         StackConfig((), n_folds=3)
-    StackConfig((LearnerSpec("mean"),) * 10)
+    StackConfig((MEAN,) * 10)
     with pytest.raises(ValueError, match="1 to 10 base learners, got 11"):
-        StackConfig((LearnerSpec("mean"),) * 11)
+        StackConfig((MEAN,) * 11)
     with pytest.raises(ValueError):
         StackConfig((LearnerSpec("tree"),), n_folds=1)
 

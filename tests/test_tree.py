@@ -71,21 +71,6 @@ def test_empty_table_rejected():
         fit_regression_tree(empty, 1)
 
 
-def test_feature_subset_limits_splits():
-    rng = np.random.default_rng(5)
-    X = np.column_stack([rng.normal(size=30), np.linspace(0, 1, 30)])
-    y = X[:, 1] * 10.0  # only feature 1 is informative
-    data = LabeledTable(X, y, ("noise", "signal"))
-    tree = fit_regression_tree(data, 5, feature_subset=[0])
-    assert set(tree.feature) <= {-1, 0}
-
-
-def test_feature_subset_out_of_range_rejected():
-    data = table([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        fit_regression_tree(data, 1, feature_subset=[3])
-
-
 def test_max_depth_caps_tree():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 2))
@@ -225,8 +210,6 @@ def test_batched_search_matches_reference_with_mtry_and_depth_caps(seed):
         fast, reference = fit_both(data, 1, rng_seed=seed + 90, _mtry=mtry,
                                    max_depth=max_depth)
         assert fast == reference
-    fast, reference = fit_both(data, 2, feature_subset=[1, 2, 5])
-    assert fast == reference
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
