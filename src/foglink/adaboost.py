@@ -69,6 +69,12 @@ class AdaBoostModel:
     feature_names: Optional[tuple[str, ...]] = None
     round_errors: Optional[list[float]] = None
 
+    def __post_init__(self) -> None:
+        if not self.weak_learners or len(self.alphas) != len(self.weak_learners):
+            raise ValueError(f"AdaBoost needs one alpha per weak learner and at least one "
+                             f"learner, got {len(self.alphas)} alphas for "
+                             f"{len(self.weak_learners)} learners")
+
     def predict_row(self, x: Sequence[float]) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):

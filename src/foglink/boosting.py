@@ -23,7 +23,6 @@ class GradientBoostModel:
     init_value: float
     trees: list[RegressionTree]
     learning_rate: float
-    min_leaf_size: int
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
 
@@ -68,5 +67,5 @@ def fit_gradient_boost(data: LabeledTable, n_trees: int, learning_rate: float,
         trees.append(stage)
         prediction = prediction + learning_rate * stage.predict(data.features)
     return GradientBoostModel(init_value=init_value, trees=trees,
-                              learning_rate=learning_rate, min_leaf_size=min_leaf_size,
-                              n_features=data.n_features, feature_names=data.feature_names)
+                              learning_rate=learning_rate, n_features=data.n_features,
+                              feature_names=data.feature_names)

@@ -490,9 +490,10 @@ def cmd_train(args) -> int:
         if name == "adbr":
             for k, loss in enumerate(model.round_errors or []):
                 log_rows.append(("adbr", "round_loss", k, loss))
-        if name == "stacked":
-            for l, weight in enumerate(model.weights):
-                log_rows.append(("stacked", "weight", l, float(weight)))
+        if name == "stacked":  # one row per configured learner, 0 for a non-member
+            weights = dict(zip((spec.label for spec in model.specs), model.weights))
+            for l, spec in enumerate(stack.base_learner_specs):
+                log_rows.append(("stacked", "weight", l, float(weights.get(spec.label, 0.0))))
         if name == "gbr":
             train_mse = float(np.mean((model.predict(table.features) - table.targets) ** 2))
             log_rows.append(("gbr", "train_mse", 0, train_mse))
@@ -678,6 +679,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_TRAINING
     except (ValidationError, ValueError, UnattainableBerError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a path that cannot be read, or written as asked
+        if exc.filename is None:
+            raise
+        print(f"validation error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

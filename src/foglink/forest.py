@@ -26,12 +26,13 @@ def default_mtry_regression(n_features: int) -> int:
 @dataclass
 class RandomForestModel:
     trees: list[RegressionTree]
-    mtry: int
-    min_leaf_size: int
-    bootstrap_seed: int
     oob_error: Optional[float]
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("a random forest needs at least one tree")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         member = np.stack([tree.predict(X) for tree in self.trees])
@@ -68,6 +69,5 @@ def fit_random_forest(data: LabeledTable, n_trees: int, mtry: int,
         oob_error = float(np.mean(residual ** 2))
     else:
         oob_error = None
-    return RandomForestModel(trees=trees, mtry=mtry, min_leaf_size=min_leaf_size,
-                             bootstrap_seed=seed, oob_error=oob_error,
+    return RandomForestModel(trees=trees, oob_error=oob_error,
                              n_features=data.n_features, feature_names=data.feature_names)

@@ -88,6 +88,11 @@ class MLPModel:
             self.x_mean = np.zeros(sizes[0])
         if self.x_std is None:
             self.x_std = np.ones(sizes[0])
+        if (self.x_mean.shape != (sizes[0],) or self.x_std.shape != (sizes[0],)
+                or not np.all(np.isfinite(self.x_mean))
+                or not np.all(np.isfinite(self.x_std)) or np.any(self.x_std <= 0)):
+            raise ValueError(f"x_mean and x_std must be finite vectors of length "
+                             f"{sizes[0]}, with x_std > 0")
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int],

@@ -1,12 +1,15 @@
 """JSON persistence for every fitted model type.
 
-Each payload carries a ``model`` tag, the fitting hyperparameters, the
-feature names seen at fit time, and the learned structure: trees as their
-five parallel node lists (``feature``, ``threshold``, ``left``, ``right``,
-``value``, as in ``tree.RegressionTree``), networks as row-major weight
-matrices with their input standardisation.  Stacked models embed their base
-models whole.  Dumps are key-sorted, so identical models serialise to
-identical bytes.  Loading checks that every walk down a tree ends at a leaf.
+Each payload carries a ``model`` tag, the input schema (``n_features``,
+``feature_names``), what ``predict`` reads, and the fit diagnostics the
+training log reports (``oob_error``, ``round_errors``); the fitting
+hyperparameters are in the run manifest.  Trees are their five parallel
+node lists (``feature``, ``threshold``, ``left``, ``right``, ``value``, as in
+``tree.RegressionTree``), networks row-major weight matrices with their
+input standardisation.  Stacked models embed their members' models whole.
+Dumps are compact and key-sorted, so identical models serialise to
+identical bytes.  Loading refuses non-finite numbers, ignores keys it does
+not read, and checks that every walk down a tree ends at a leaf.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def _nodes(tree: RegressionTree) -> dict:
             "right": tree.right, "value": tree.value}
 
 
-def _tree(d: dict, min_leaf_size: int, n_features: int, names) -> RegressionTree:
+def _tree(d: dict, n_features: int, names) -> RegressionTree:
     """The tree whose node lists ``d`` holds.  A split's feature must index a
     column and its children must come after it, so no walk revisits a node."""
     feature = [int(f) for f in d["feature"]]
@@ -50,8 +53,7 @@ def _tree(d: dict, min_leaf_size: int, n_features: int, names) -> RegressionTree
             raise ValueError(
                 f"tree node {i} splits on feature {f} into nodes {lo} and {hi}; "
                 f"need a feature in [0, {n_features}) and children in ({i}, {n})")
-    return RegressionTree(feature, threshold, left, right, value, min_leaf_size,
-                          n_features, names)
+    return RegressionTree(feature, threshold, left, right, value, n_features, names)
 
 
 def _names(model) -> Any:
@@ -60,19 +62,15 @@ def _names(model) -> Any:
 
 def model_to_dict(model: AnyModel) -> dict:
     if isinstance(model, RegressionTree):
-        return {"model": "regression_tree", "min_leaf_size": model.min_leaf_size,
-                "n_features": model.n_features, "feature_names": _names(model),
-                **_nodes(model)}
+        return {"model": "regression_tree", "n_features": model.n_features,
+                "feature_names": _names(model), **_nodes(model)}
     if isinstance(model, RandomForestModel):
-        return {"model": "random_forest", "seed": model.bootstrap_seed,
-                "mtry": model.mtry, "min_leaf_size": model.min_leaf_size,
-                "oob_error": model.oob_error, "n_features": model.n_features,
-                "feature_names": _names(model),
+        return {"model": "random_forest", "oob_error": model.oob_error,
+                "n_features": model.n_features, "feature_names": _names(model),
                 "trees": [_nodes(t) for t in model.trees]}
     if isinstance(model, GradientBoostModel):
         return {"model": "gradient_boost", "init_value": model.init_value,
-                "learning_rate": model.learning_rate,
-                "min_leaf_size": model.min_leaf_size, "n_features": model.n_features,
+                "learning_rate": model.learning_rate, "n_features": model.n_features,
                 "feature_names": _names(model),
                 "trees": [_nodes(t) for t in model.trees]}
     if isinstance(model, AdaBoostModel):
@@ -106,21 +104,15 @@ def model_from_dict(d: dict) -> AnyModel:
     kind = d.get("model")
     names = tuple(d["feature_names"]) if d.get("feature_names") is not None else None
     if kind == "regression_tree":
-        return _tree(d, int(d["min_leaf_size"]), int(d["n_features"]), names)
+        return _tree(d, int(d["n_features"]), names)
     if kind == "random_forest":
-        trees = [_tree(n, int(d["min_leaf_size"]), int(d["n_features"]), names)
-                 for n in d["trees"]]
-        return RandomForestModel(trees=trees, mtry=int(d["mtry"]),
-                                 min_leaf_size=int(d["min_leaf_size"]),
-                                 bootstrap_seed=int(d["seed"]),
-                                 oob_error=d["oob_error"],
+        trees = [_tree(n, int(d["n_features"]), names) for n in d["trees"]]
+        return RandomForestModel(trees=trees, oob_error=d["oob_error"],
                                  n_features=int(d["n_features"]), feature_names=names)
     if kind == "gradient_boost":
-        trees = [_tree(n, int(d["min_leaf_size"]), int(d["n_features"]), names)
-                 for n in d["trees"]]
+        trees = [_tree(n, int(d["n_features"]), names) for n in d["trees"]]
         return GradientBoostModel(init_value=float(d["init_value"]), trees=trees,
                                   learning_rate=float(d["learning_rate"]),
-                                  min_leaf_size=int(d["min_leaf_size"]),
                                   n_features=int(d["n_features"]), feature_names=names)
     if kind == "adaboost":
         mode = AdaBoostMode(d["mode"])
@@ -128,7 +120,7 @@ def model_from_dict(d: dict) -> AnyModel:
             learners = [Stump(int(s["feature"]), float(s["threshold"]), int(s["polarity"]))
                         for s in d["learners"]]
         else:
-            learners = [_tree(n, 1, int(d["n_features"]), names) for n in d["learners"]]
+            learners = [_tree(n, int(d["n_features"]), names) for n in d["learners"]]
         return AdaBoostModel(weak_learners=learners,
                              alphas=[float(a) for a in d["alphas"]], mode=mode,
                              n_features=int(d["n_features"]), feature_names=names,
@@ -136,12 +128,8 @@ def model_from_dict(d: dict) -> AnyModel:
     if kind == "stacked":
         specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]),
                                   name=s.get("name")) for s in d["specs"])
-        base = [model_from_dict(m) for m in d["base_models"]]
-        weights = np.asarray(d["weights"], dtype=float)
-        if weights.shape != (len(base),):
-            raise ValueError(f"stacked model has {weights.size} weights for "
-                             f"{len(base)} base models")
-        return StackedModel(final_base_learners=base, weights=weights, specs=specs,
+        return StackedModel(final_base_learners=[model_from_dict(m) for m in d["base_models"]],
+                            weights=np.asarray(d["weights"], dtype=float), specs=specs,
                             n_features=int(d["n_features"]), feature_names=names)
     if kind == "mlp":
         return MLPModel(layer_sizes=tuple(int(s) for s in d["layer_sizes"]),
@@ -156,15 +144,20 @@ def model_from_dict(d: dict) -> AnyModel:
 
 
 def save_model(model: AnyModel, path: Union[str, Path]) -> None:
-    payload = json.dumps(model_to_dict(model), sort_keys=True, indent=1)
+    payload = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
     Path(path).write_text(payload + "\n")
 
 
+def _non_finite(literal: str):
+    raise ValueError(f"non-finite number {literal}")
+
+
 def load_model(path: Union[str, Path]) -> AnyModel:
-    """Read a model file; a missing, ill-typed or invalid field is a
-    ValueError naming the file."""
+    """Read a model file; a missing, ill-typed, non-finite or invalid field
+    is a ValueError naming the file."""
     try:
-        return model_from_dict(json.loads(Path(path).read_text()))
+        return model_from_dict(json.loads(Path(path).read_text(),
+                                          parse_constant=_non_finite))
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc.args[0]!r}") from exc
     except TypeError as exc:

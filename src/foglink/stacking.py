@@ -9,9 +9,11 @@ least squares of Breiman's *Stacked Regressions* (1996) -- which keeps
 stacked predictions inside the range of the base predictions and guarantees
 the meta objective is no worse than the best single learner.  The weights
 are solved exactly by enumerating the supports of the simplex, so at most
-``MAX_BASE_LEARNERS`` learners may be stacked.  Final base learners are
-fitted on all rows with the stacking seed, except those the caller has
-already fitted that way and hands over.
+``MAX_BASE_LEARNERS`` learners may be stacked.  A learner whose weight is 0
+contributes nothing, so the stacked model keeps only the learners of
+positive weight, its members.  Their final fits use all rows and the
+stacking seed, except those the caller has already fitted that way and
+hands over.
 
 The L x H fold fits are independent, so they run in a pool of worker
 processes, one per CPU in this process's affinity mask (limit them with
@@ -220,6 +222,9 @@ def solve_stacking_weights(level1: LabeledTable) -> np.ndarray:
 
 @dataclass
 class StackedModel:
+    """The members of a stack: each final base learner with its spec and its
+    positive weight, in the order of the stack's configuration."""
+
     final_base_learners: list
     weights: np.ndarray
     specs: tuple[LearnerSpec, ...]
@@ -228,33 +233,35 @@ class StackedModel:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("stacking weights must be finite, nonnegative and sum to one")
+        if w.shape != (len(self.final_base_learners),) or len(self.specs) != w.size:
+            raise ValueError(f"stacked model has {w.size} weights and {len(self.specs)} "
+                             f"specs for {len(self.final_base_learners)} base models")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"stacking weights must be finite, positive and sum to one, "
+                             f"got {w.tolist()}")
         object.__setattr__(self, "weights", w)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Weighted sum of the base predictions; zero-weight learners are skipped."""
         X = np.asarray(X, dtype=float)
-        active = np.flatnonzero(self.weights)
-        base = np.stack([self.final_base_learners[l].predict(X) for l in active])
-        return self.weights[active] @ base
+        return self.weights @ np.stack([m.predict(X) for m in self.final_base_learners])
 
 
 def fit_stacked(data: LabeledTable, cfg: StackConfig,
                 fitted: Optional[Mapping[str, object]] = None) -> StackedModel:
-    """Level-1 construction, weight solve, then final fits on all rows.
+    """Level-1 construction, weight solve, then final fits on all rows of the
+    learners whose weight is not 0.
 
     A final base learner is ``fit_base_learner(spec, data, cfg.seed)``.
     ``fitted`` maps spec labels to models the caller already fitted exactly
     so; those are reused instead of fitted again.
     """
     fitted = fitted or {}
-    level1 = build_level1_sample(data, cfg)
-    weights = solve_stacking_weights(level1)
+    weights = solve_stacking_weights(build_level1_sample(data, cfg))
+    members = np.flatnonzero(weights)
+    specs = tuple(cfg.base_learner_specs[l] for l in members)
     finals = [fitted[spec.label] if spec.label in fitted
               else fit_base_learner(spec, data, cfg.seed)
-              for spec in cfg.base_learner_specs]
-    return StackedModel(final_base_learners=finals, weights=weights,
-                        specs=tuple(cfg.base_learner_specs),
+              for spec in specs]
+    return StackedModel(final_base_learners=finals, weights=weights[members], specs=specs,
                         n_features=data.n_features, feature_names=data.feature_names)
 

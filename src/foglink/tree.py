@@ -55,7 +55,6 @@ class RegressionTree:
     left: list[int]
     right: list[int]
     value: list[float]
-    min_leaf_size: int
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
 
@@ -282,5 +281,4 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int, *,
             raise ValueError("sample_weight must be nonnegative with positive sum")
     nodes = _grow(data.features, data.targets, w, min_leaf_size, max_depth,
                   np.arange(data.n_features), _mtry, _rng)
-    return RegressionTree(*nodes, min_leaf_size=min_leaf_size,
-                          n_features=data.n_features, feature_names=data.feature_names)
+    return RegressionTree(*nodes, n_features=data.n_features, feature_names=data.feature_names)

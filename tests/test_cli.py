@@ -307,7 +307,8 @@ class TestTrain:
     def test_stacked_reuses_seed_free_fits(self, trained, tmp_path, monkeypatch):
         """rf, gbr and adbr are fitted once per fold plus once on the full
         table; the stacked model reuses that full-table fit, and its file is
-        the same as when every final base learner is refitted."""
+        the same as when the stack makes its own final fits, one for each
+        learner of nonzero weight."""
         calls = Counter()
         for fn in (forest.fit_random_forest, boosting.fit_gradient_boost,
                    adaboost.fit_adaboost_r2):
@@ -321,18 +322,22 @@ class TestTrain:
         argv = ["train", "--data", str(trained["data"]), "--config", str(trained["cfg"]),
                 "--seed", "5", "--out-dir"]
         folds = load_config(str(trained["cfg"])).stack_folds
-        names = ("fit_random_forest", "fit_gradient_boost", "fit_adaboost_r2")
+        names = {"forest": "fit_random_forest", "gbr": "fit_gradient_boost",
+                 "adbr": "fit_adaboost_r2"}
+        members = json.loads((trained["out"] / "models" / "stacked.json").read_text())["specs"]
+        refitted = {names[spec["kind"]] for spec in members if spec["kind"] in names}
+        assert refitted and refitted != set(names.values())  # both cases occur
         # fits in pool workers are invisible to the counters: fit in process
         monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks: 1)
 
         assert main(argv + [str(tmp_path / "reuse")]) == EXIT_OK
-        assert calls == {name: folds + 1 for name in names}
+        assert calls == {name: folds + 1 for name in names.values()}
 
         calls.clear()
         monkeypatch.setattr(cli, "fit_stacked",
                             lambda data, cfg, fitted=None: stacking.fit_stacked(data, cfg))
         assert main(argv + [str(tmp_path / "refit")]) == EXIT_OK
-        assert calls == {name: folds + 2 for name in names}
+        assert calls == {name: folds + 1 + (name in refitted) for name in names.values()}
         for run in ("reuse", "refit"):
             assert ((tmp_path / run / "models" / "stacked.json").read_bytes()
                     == (trained["out"] / "models" / "stacked.json").read_bytes())
@@ -545,13 +550,15 @@ class TestPredict:
         assert "tree.json" in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("weights, message", [
-        ([float("nan")] * 4, "must be finite"),
-        ([0.5, 0.5], "2 weights for 4 base models"),
+        (lambda w: [float("nan")] * len(w), "non-finite number NaN"),
+        (lambda w: w[1:], "{short} weights and {n} specs for {n} base models"),
     ], ids=["nan", "too-few"])
     def test_bad_stacking_weights_are_validation_errors(self, trained, tmp_path, capsys,
                                                         weights, message):
         payload = json.loads((trained["out"] / "models" / "stacked.json").read_text())
-        payload["weights"] = weights
+        n = len(payload["weights"])
+        payload["weights"] = weights(payload["weights"])
+        message = message.format(short=n - 1, n=n)
         model = tmp_path / "stacked.json"
         model.write_text(json.dumps(payload))
         feats = tmp_path / "feats.csv"
@@ -561,6 +568,36 @@ class TestPredict:
                      "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "stacked.json" in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("adbr", lambda p: p["alphas"].pop(), "alpha per weak learner"),
+        ("adbr", lambda p: p.update(alphas=[], learners=[]), "at least one learner"),
+        ("adbr", lambda p: p["alphas"].append(1.0), "alpha per weak learner"),
+        ("rf", lambda p: p.update(trees=[]), "at least one tree"),
+        ("mlp", lambda p: p.update(x_std=[0.0] * len(p["x_std"])), "x_std > 0"),
+        ("mlp", lambda p: p.update(x_mean=p["x_mean"][1:]), "x_mean and x_std"),
+        ("gbr", lambda p: p.update(init_value=float("nan")), "non-finite number NaN"),
+        ("gbr", lambda p: p["trees"][0]["value"].__setitem__(-1, float("inf")),
+         "non-finite number Infinity"),
+    ], ids=["adbr-alpha-short", "adbr-no-learners", "adbr-alpha-extra", "rf-no-trees",
+            "mlp-zero-std", "mlp-short-mean", "nan-literal", "infinity-literal"])
+    def test_unpredictable_model_file_is_validation_error(self, trained, tmp_path, capsys,
+                                                         name, corrupt, message):
+        """A model file that loads but could not predict, or would predict NaN,
+        is refused when it is read."""
+        payload = json.loads((trained["out"] / "models" / f"{name}.json").read_text())
+        corrupt(payload)
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(payload))
+        feats = tmp_path / "feats.csv"
+        feats.write_text(",".join(payload["feature_names"]) + "\n"
+                         + ",".join(["1.0"] * len(payload["feature_names"])) + "\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"model file {model}" in err and message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_model_missing_field_is_validation_error(self, trained, tmp_path, capsys):
@@ -621,6 +658,45 @@ def test_directory_as_input_file_is_validation_error(argv, trained, tmp_path, ca
                 + ["--out-dir", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"not a regular file: {paths['dir']}" in err and "Traceback" not in err
+
+
+# commands whose output path cannot be written; {file} is a regular file,
+# {dir} a directory, and {blocked} holds a file named models and a directory
+# named attenuation_sweep.csv
+OUTPUT_PATHS = [
+    ("predict --out dir", ["predict", "--model", "{model}", "--features", "{features}",
+                           "--out", "{dir}"], "{dir}"),
+    ("predict --out file/x", ["predict", "--model", "{model}", "--features", "{features}",
+                              "--out", "{file}/x.csv"], "{file}"),
+    ("predict --out-dir file", ["predict", "--model", "{model}", "--features", "{features}",
+                                "--out-dir", "{file}"], "{file}"),
+    ("attenuation-sweep", ["attenuation-sweep", "--out-dir", "{file}"], "{file}"),
+    ("train", ["train", "--data", "{data}", "--config", "{cfg}", "--out-dir", "{file}"],
+     "{file}"),
+    ("train models", ["train", "--data", "{data}", "--config", "{cfg}",
+                      "--out-dir", "{blocked}"], "{blocked}/models"),
+    ("attenuation-sweep csv", ["attenuation-sweep", "--out-dir", "{blocked}"],
+     "{blocked}/attenuation_sweep.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, named", [(argv, named) for _, argv, named in OUTPUT_PATHS],
+                         ids=[name for name, _, _ in OUTPUT_PATHS])
+def test_unusable_output_path_is_validation_error(argv, named, trained, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    model = trained["out"] / "models" / "rf.json"
+    features.write_text(",".join(load_model(model).feature_names) + "\n")
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "folder", "model": model,
+             "features": features, "data": trained["data"], "cfg": trained["cfg"],
+             "blocked": tmp_path / "blocked"}
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    paths["blocked"].mkdir()
+    (paths["blocked"] / "models").write_text("")
+    (paths["blocked"] / "attenuation_sweep.csv").mkdir()
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert named.format(**paths) in err and "Traceback" not in err
 
 
 class TestExitCodes:

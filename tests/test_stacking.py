@@ -304,23 +304,31 @@ class TestStackedModel:
 
     def test_agreeing_bases_pass_through(self):
         model = StackedModel(
-            final_base_learners=[],  # replaced below
+            final_base_learners=[Constant(4.0), Constant(4.0)],
             weights=np.array([0.25, 0.75]),
             specs=(LearnerSpec("constant"), LearnerSpec("constant")),
             n_features=1)
-        model.final_base_learners = [Constant(4.0), Constant(4.0)]
         assert model.predict(np.zeros((1, 1)))[0] == pytest.approx(4.0, rel=1e-12)
 
-    def test_zero_weight_learners_are_not_evaluated(self):
-        class Unused:
-            def predict(self, X):
-                raise AssertionError("a zero-weight learner was evaluated")
-
-        model = StackedModel(
-            final_base_learners=[Constant(2.0), Unused(), Constant(4.0)],
-            weights=np.array([0.5, 0.0, 0.5]), specs=(LearnerSpec("constant"),) * 3,
-            n_features=1)
-        assert model.predict(np.zeros((3, 1))).tolist() == [3.0, 3.0, 3.0]
+    def test_members_are_the_learners_of_nonzero_weight(self, monkeypatch):
+        """Only learners of nonzero weight get a final fit and join the model,
+        in configuration order."""
+        data = random_table(30, 2, 19)
+        cfg = StackConfig((MEAN, LearnerSpec("tree", {"min_leaf_size": 2}),
+                           LearnerSpec("forest", {"n_trees": 5, "min_leaf_size": 3})),
+                          n_folds=3, seed=11)
+        level1 = build_level1_sample(data, cfg)
+        weights = solve_stacking_weights(level1)
+        members = tuple(cfg.base_learner_specs[l] for l in np.flatnonzero(weights))
+        assert 0 < len(members) < len(cfg.base_learner_specs)
+        final_fits = []
+        monkeypatch.setattr(stacking, "build_level1_sample", lambda d, c: level1)
+        monkeypatch.setattr(stacking, "fit_base_learner",
+                            lambda spec, d, seed: final_fits.append(spec)
+                            or fit_base_learner(spec, d, seed))
+        model = fit_stacked(data, cfg)
+        assert model.specs == tuple(final_fits) == members
+        assert model.weights.tolist() == weights[weights > 0].tolist()
 
     def test_prediction_inside_base_range(self):
         data = random_table(30, 2, 19)
@@ -336,15 +344,19 @@ class TestStackedModel:
         assert np.all(stacked <= base.max(axis=0) + 1e-9)
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            StackedModel(final_base_learners=[], weights=np.array([0.5, 0.6]),
-                         specs=(), n_features=1)
-        with pytest.raises(ValueError):
-            StackedModel(final_base_learners=[], weights=np.array([-0.1, 1.1]),
-                         specs=(), n_features=1)
-        with pytest.raises(ValueError, match="finite"):
-            StackedModel(final_base_learners=[], weights=np.array([np.nan, np.nan]),
-                         specs=(), n_features=1)
+        # a learner of weight 0 is no member, so a zero weight is refused too
+        for weights in ([0.5, 0.6], [-0.1, 1.1], [np.nan, np.nan], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="finite, positive and sum to one"):
+                StackedModel(final_base_learners=[Constant(1.0), Constant(2.0)],
+                             weights=np.array(weights), specs=(MEAN, MEAN), n_features=1)
+
+    @pytest.mark.parametrize("n_learners, n_specs", [(1, 2), (2, 1)])
+    def test_one_weight_and_spec_per_member(self, n_learners, n_specs):
+        with pytest.raises(ValueError, match=f"2 weights and {n_specs} specs for "
+                                             f"{n_learners} base models"):
+            StackedModel(final_base_learners=[Constant(1.0)] * n_learners,
+                         weights=np.array([0.5, 0.5]), specs=(MEAN,) * n_specs,
+                         n_features=1)
 
     def test_fit_deterministic_given_seed(self):
         data = random_table(24, 2, 29)
