@@ -196,7 +196,9 @@ def _coerce(name: str, default, text: str):
 def _run_config(values: dict) -> RunConfig:
     """The defaults with ``values`` applied; every key must be a RunConfig
     field, every int field must hold an int, and every float or float-tuple
-    field must hold finite numbers; booleans are refused for both."""
+    field must hold finite numbers; booleans are refused for both.
+    ``split_fractions`` must hold three fractions and ``sample_records``
+    must not be negative."""
     unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
@@ -211,6 +213,12 @@ def _run_config(values: dict) -> RunConfig:
                     type(v) in (int, float) and math.isfinite(v) for v in numbers)):
                 raise ValidationError(
                     f"config key {f.name}: need finite numbers, got {value!r}")
+    if len(cfg.split_fractions) != 3:
+        raise ValidationError(f"config key split_fractions: need three fractions "
+                              f"(train, middle, test), got {cfg.split_fractions!r}")
+    if cfg.sample_records < 0:
+        raise ValidationError(f"config key sample_records: need 0 (all records) or a "
+                              f"positive count, got {cfg.sample_records!r}")
     return cfg
 
 
@@ -360,14 +368,10 @@ def cmd_link_sweep(args) -> int:
     return EXIT_OK
 
 
-def _station_names(stations: Optional[str]) -> list[str]:
-    """The names a --stations value lists; every preset without one."""
-    if not stations:
-        return list(DEFAULT_STATION_PROFILES)
-    return [s.strip() for s in stations.split(",") if s.strip()]
-
-
-def _station_profiles(names: Sequence[str]):
+def _station_profiles(stations: Optional[str]):
+    """The profiles a --stations value names; every preset without one."""
+    names = ([s.strip() for s in stations.split(",") if s.strip()] if stations
+             else list(DEFAULT_STATION_PROFILES))
     unknown = [n for n in names if n not in DEFAULT_STATION_PROFILES]
     if unknown:
         raise ValidationError(
@@ -378,25 +382,20 @@ def _station_profiles(names: Sequence[str]):
 
 def cmd_synth_data(args) -> int:
     out = _out_dir(args)
-    profiles = _station_profiles(_station_names(args.stations))
-    records = synthesize_dataset(profiles, args.days, args.seed)
+    records = synthesize_dataset(_station_profiles(args.stations), args.days, args.seed)
     (out / "visibility.csv").write_text(write_visibility_csv(records))
     return EXIT_OK
 
 
-def _load_records(source: dict, seed: int, cfg: RunConfig):
-    """The records ``source`` (as a manifest stores it) describes, subsampled
-    with ``seed``; skipped CSV rows are reported on stderr."""
-    if source["kind"] == "csv":
-        data_path = _input_file(source["path"], "data file")
-        result = parse_visibility_csv(data_path.read_text().splitlines())
-        records, rejected = result.records, result.rejected
-        if rejected:
-            print(f"{data_path}: skipped {len(rejected)} row(s), the first at line "
-                  f"{rejected[0].line_no} ({rejected[0].reason})", file=sys.stderr)
-    else:
-        records = synthesize_dataset(_station_profiles(source["stations"]),
-                                     source["days"], seed)
+def _load_records(path, seed: int, cfg: RunConfig):
+    """The records of the visibility CSV at ``path``, subsampled with
+    ``seed``; skipped rows are reported on stderr."""
+    data_path = _input_file(path, "data file")
+    result = parse_visibility_csv(data_path.read_text().splitlines())
+    records, rejected = result.records, result.rejected
+    if rejected:
+        print(f"{data_path}: skipped {len(rejected)} row(s), the first at line "
+              f"{rejected[0].line_no} ({rejected[0].reason})", file=sys.stderr)
     if not records:
         raise ValidationError("no usable visibility records")
     if cfg.sample_records > 0 and len(records) > cfg.sample_records:
@@ -415,19 +414,9 @@ def _build_table(records, cfg: RunConfig):
 
 
 def cmd_train(args) -> int:
-    if args.data:
-        if args.stations:
-            raise ValidationError("--stations selects stations for --synth-days; "
-                                  "it cannot be used with --data")
-        source = {"kind": "csv", "path": args.data}
-    elif args.synth_days is not None:
-        source = {"kind": "synth", "days": args.synth_days,
-                  "stations": _station_names(args.stations)}
-    else:
-        raise ValidationError("either --data or --synth-days is required")
     cfg = load_config(args.config)
     out = _out_dir(args)
-    records = _load_records(source, args.seed, cfg)
+    records = _load_records(args.data, args.seed, cfg)
     qos = _build_table(records, cfg)
     train_idx, _, _ = split_indices(qos.table.n_rows, cfg.split_fractions, args.seed)
     table = qos.table.subset(train_idx)
@@ -461,8 +450,7 @@ def cmd_train(args) -> int:
                 stack = StackConfig(
                     (*specs.values(), LearnerSpec("tree", {"min_leaf_size": cfg.rf_min_leaf})),
                     cfg.stack_folds, args.seed)
-                model = fit_stacked(table, stack, {spec.label: fitted[n]
-                                                   for n, spec in specs.items() if n in fitted})
+                model = fit_stacked(table, stack, [fitted.get(n) for n in specs] + [None])
                 hyperparameters = {"n_folds": stack.n_folds, "seed": stack.seed,
                                    "base": [spec.kind for spec in stack.base_learner_specs]}
             else:
@@ -503,7 +491,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "seed": args.seed,
-        "source": source,
+        "source": {"kind": "csv", "path": args.data},
         "config": {f.name: (list(getattr(cfg, f.name))
                             if isinstance(getattr(cfg, f.name), tuple)
                             else getattr(cfg, f.name))
@@ -530,12 +518,10 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise ValidationError(f"manifest {manifest_path} lacks key(s): {', '.join(missing)}")
     source, models = manifest["source"], manifest["models"]
-    kind = source.get("kind") if isinstance(source, dict) else None
-    fields = {"csv": {"path": str}, "synth": {"days": int, "stations": list}}
-    bad = [] if kind in fields else ["source.kind ('csv' or 'synth')"]
-    bad += [f"source.{key}" for key, typ in fields.get(kind, {}).items()
-            if not isinstance(source.get(key), typ)
-            or typ is list and not all(isinstance(item, str) for item in source[key])]
+    if not isinstance(source, dict) or source.get("kind") != "csv":
+        bad = ["source.kind ('csv')"]
+    else:
+        bad = [] if isinstance(source.get("path"), str) else ["source.path"]
     bad += [key for key, typ in (("config", dict), ("seed", int), ("n_rows", int),
                                  ("models", dict)) if not isinstance(manifest[key], typ)]
     if isinstance(models, dict):
@@ -548,8 +534,7 @@ def cmd_evaluate(args) -> int:
                        for key, value in manifest["config"].items()})
 
     seed = manifest["seed"]
-    records = _load_records({"kind": "csv", "path": args.data} if args.data else source,
-                            seed, cfg)
+    records = _load_records(args.data or source["path"], seed, cfg)
     qos = _build_table(records, cfg)
     if qos.table.n_rows != manifest["n_rows"]:
         raise ValidationError(
@@ -629,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {"--seed": dict(type=int, default=0, help="global random seed"),
               "--config": dict(help="key=value parameter file"),
-              "--out-dir": dict(default="out", help="output directory"),
-              "--stations": dict(help="comma-separated station subset")}
+              "--out-dir": dict(default="out", help="output directory")}
 
     def command(name, func, help, *flags):
         """A subcommand with the shared flags it reads; it declares the rest."""
@@ -645,15 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("link-sweep", cmd_link_sweep, "figure-family link CSVs", "--config", "--out-dir")
 
     p = command("synth-data", cmd_synth_data, "seeded synthetic visibility archive",
-                "--seed", "--out-dir", "--stations")
+                "--seed", "--out-dir")
     p.add_argument("--days", type=int, default=3650, help="days per station")
+    p.add_argument("--stations", help="comma-separated station subset")
 
     p = command("train", cmd_train, "fit the five QoS models",
-                "--seed", "--config", "--out-dir", "--stations")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--data", help="visibility CSV (from synth-data or external)")
-    source.add_argument("--synth-days", type=int,
-                        help="synthesize this many days (of --stations) instead")
+                "--seed", "--config", "--out-dir")
+    p.add_argument("--data", required=True,
+                   help="visibility CSV (from synth-data or external)")
 
     p = command("evaluate", cmd_evaluate, "score saved models on the held-out split",
                 "--out-dir")

@@ -58,6 +58,13 @@ def _derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
+    return sizes
+
+
 @dataclass
 class MLPModel:
     """Layer sizes, per-layer weight matrices (fan_in x fan_out, row-major)
@@ -73,9 +80,7 @@ class MLPModel:
     feature_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
+        sizes = _layer_sizes(self.layer_sizes)
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("one weight matrix and bias vector per layer transition")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -100,7 +105,7 @@ class MLPModel:
                    output_activation: ActivationKind = ActivationKind.DIRECT,
                    seed: int = 0) -> "MLPModel":
         """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases."""
-        sizes = tuple(int(s) for s in layer_sizes)
+        sizes = _layer_sizes(layer_sizes)
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):

@@ -30,7 +30,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -247,21 +247,24 @@ class StackedModel:
 
 
 def fit_stacked(data: LabeledTable, cfg: StackConfig,
-                fitted: Optional[Mapping[str, object]] = None) -> StackedModel:
+                fitted: Optional[Sequence[object]] = None) -> StackedModel:
     """Level-1 construction, weight solve, then final fits on all rows of the
     learners whose weight is not 0.
 
     A final base learner is ``fit_base_learner(spec, data, cfg.seed)``.
-    ``fitted`` maps spec labels to models the caller already fitted exactly
-    so; those are reused instead of fitted again.
+    ``fitted``, aligned with ``cfg.base_learner_specs``, holds models the
+    caller already fitted exactly so, reused instead of fitted again, and
+    ``None`` where the stack fits that learner itself.
     """
-    fitted = fitted or {}
+    specs = cfg.base_learner_specs
+    fitted = [None] * len(specs) if fitted is None else list(fitted)
+    if len(fitted) != len(specs):
+        raise ValueError(f"{len(fitted)} fitted models handed over for {len(specs)} "
+                         f"base learners")
     weights = solve_stacking_weights(build_level1_sample(data, cfg))
     members = np.flatnonzero(weights)
-    specs = tuple(cfg.base_learner_specs[l] for l in members)
-    finals = [fitted[spec.label] if spec.label in fitted
-              else fit_base_learner(spec, data, cfg.seed)
-              for spec in specs]
-    return StackedModel(final_base_learners=finals, weights=weights[members], specs=specs,
+    finals = [fit_base_learner(specs[l], data, cfg.seed) if fitted[l] is None else fitted[l]
+              for l in members]
+    return StackedModel(final_base_learners=finals, weights=weights[members],
+                        specs=tuple(specs[l] for l in members),
                         n_features=data.n_features, feature_names=data.feature_names)
-

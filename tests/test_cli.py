@@ -274,22 +274,20 @@ class TestTrain:
             save_model(load_model(path), again)
             assert again.read_bytes() == path.read_bytes(), path.name
 
-    def test_requires_data_or_synth(self, tmp_path):
-        assert main(["train", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-
-    def test_data_and_synth_days_are_exclusive(self, trained, tmp_path, capsys):
+    def test_requires_data(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["train", "--data", str(trained["data"]), "--synth-days", "3",
-                  "--out-dir", str(tmp_path)])
+            main(["train", "--out-dir", str(tmp_path)])
         assert err.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "the following arguments are required: --data" in capsys.readouterr().err
 
-    def test_stations_with_data_refused(self, trained, tmp_path, capsys):
-        assert main(["train", "--data", str(trained["data"]), "--stations", "George",
-                     "--out-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "--stations" in err and "--data" in err and "Traceback" not in err
-        assert not (tmp_path / "run").exists()
+    def test_zero_hidden_units_fail_the_mlp(self, trained, tmp_path, capsys):
+        cfg = tmp_path / "hidden0.cfg"
+        cfg.write_text(FAST_PIPELINE + "mlp_hidden = 0\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(trained["data"]), "--config", str(cfg),
+                     "--seed", "5", "--out-dir", str(out)]) == EXIT_TRAINING
+        assert "training failed for mlp: layer_sizes" in capsys.readouterr().err
+        assert "layer_sizes" in json.loads((out / "manifest.json").read_text())["failures"]["mlp"]
 
     def test_skipped_visibility_rows_reported(self, trained, tmp_path, capsys):
         lines = trained["data"].read_text().splitlines()
@@ -363,7 +361,7 @@ class TestEvaluate:
         # memorise the whole rebuilt table, then score it on the test rows
         from foglink.cli import _build_table, _load_records
         cfg = load_config(str(trained["cfg"]))
-        records = _load_records(manifest["source"], manifest["seed"], cfg)
+        records = _load_records(manifest["source"]["path"], manifest["seed"], cfg)
         qos = _build_table(records, cfg)
         oracle = fit_regression_tree(qos.table, 1)
         save_model(oracle, out / "models" / "oracle.json")
@@ -404,8 +402,9 @@ class TestEvaluate:
         assert "field(s): source.kind" in err and "Traceback" not in err
         csv = {"kind": "csv", "path": "v.csv"}
         for source, seed, model, named in (({"kind": "csv"}, 0, {"file": "m"}, "source.path"),
-                                           ({"kind": "synth", "days": 2}, 0, {"file": "m"},
-                                            "source.stations"),
+                                           # as `train --synth-days` of earlier versions wrote it
+                                           ({"kind": "synth", "days": 2, "stations": ["George"]},
+                                            0, {"file": "m"}, "source.kind"),
                                            (csv, "x", {"file": "m"}, "seed"),
                                            (csv, 0, {}, "models.m.file")):
             patched.write_text(json.dumps({"config": {}, "seed": seed, "source": source,
@@ -462,6 +461,27 @@ class TestEvaluate:
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert ("unknown config keys: bogus_key, rx_efficiency, rx_sensitivity_dbm, "
                 "tx_efficiency") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config file", "manifest"])
+@pytest.mark.parametrize("key, text, value, message", [
+    ("split_fractions", "0.5,0.5", [0.5, 0.5], "need three fractions"),
+    ("sample_records", "-5", -5, "need 0 (all records) or a positive count")],
+    ids=["split_fractions", "sample_records"])
+def test_out_of_range_config_value_named(key, text, value, message, where, trained,
+                                         tmp_path, capsys):
+    if where == "config file":
+        argv = ["train", "--data", str(trained["data"]),
+                "--config", write_cfg(tmp_path, f"{key} = {text}\n")]
+    else:
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["config"][key] = value
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        argv = ["evaluate", "--manifest", str(patched)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"config key {key}: {message}" in err and "Traceback" not in err
 
 
 class TestPredict:
@@ -617,6 +637,7 @@ class TestPredict:
 REMOVED_FLAGS = [(command, flag) for command in ("attenuation-sweep", "link-sweep")
                  for flag in ("--seed", "--stations")] + [
     ("synth-data", "--config"),
+    *(("train", flag) for flag in ("--synth-days", "--stations")),
     *(("evaluate", flag) for flag in ("--seed", "--config", "--stations")),
     *(("predict", flag) for flag in ("--seed", "--config", "--stations"))]
 
@@ -624,8 +645,10 @@ REMOVED_FLAGS = [(command, flag) for command in ("attenuation-sweep", "link-swee
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
                          ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
 def test_unread_flag_is_usage_error(command, flag, tmp_path, capsys):
-    value = {"--seed": "3", "--config": str(tmp_path / "x.cfg"), "--stations": "George"}[flag]
-    required = ["--model", "m.json", "--features", "f.csv"] if command == "predict" else []
+    value = {"--seed": "3", "--config": str(tmp_path / "x.cfg"), "--stations": "George",
+             "--synth-days": "3"}[flag]
+    required = {"predict": ["--model", "m.json", "--features", "f.csv"],
+                "train": ["--data", "v.csv"]}.get(command, [])
     with pytest.raises(SystemExit) as err:
         main([command, flag, value, "--out-dir", str(tmp_path)] + required)
     assert err.value.code == 2

@@ -66,6 +66,11 @@ class TestForward:
         with pytest.raises(ValueError):
             model.predict(np.array([[1.0, 2.0]]))
 
+    def test_initialize_refuses_a_zero_width_layer(self):
+        """Refused before any weight is drawn, so no divide-by-zero warning."""
+        with pytest.raises(ValueError, match="layer_sizes"):
+            MLPModel.initialize((5, 0, 1), seed=0)
+
     def test_continuity_in_parameters(self):
         model = MLPModel.initialize((2, 5, 1), hidden_activation=ActivationKind.TANH, seed=7)
         x = np.array([[0.3, -0.8]])

@@ -330,6 +330,30 @@ class TestStackedModel:
         assert model.specs == tuple(final_fits) == members
         assert model.weights.tolist() == weights[weights > 0].tolist()
 
+    def test_hand_over_is_by_position(self, monkeypatch, tmp_path):
+        """Two specs share the label ``tree``; a fit handed over for the first
+        replaces only the first one's final fit."""
+        data = random_table(30, 2, 19)
+        cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
+                           LearnerSpec("tree", {"max_depth": 1})), n_folds=3, seed=11)
+        save_model(fit_stacked(data, cfg), tmp_path / "own.json")
+        first = fit_base_learner(cfg.base_learner_specs[0], data, cfg.seed)
+        monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks: 1)
+        fits = []
+        monkeypatch.setattr(stacking, "fit_base_learner",
+                            lambda spec, d, seed: fits.append((spec, d))
+                            or fit_base_learner(spec, d, seed))
+        model = fit_stacked(data, cfg, [first, None])
+        assert len(model.specs) == 2
+        assert [spec for spec, d in fits if d is data] == [cfg.base_learner_specs[1]]
+        save_model(model, tmp_path / "handed.json")
+        assert (tmp_path / "handed.json").read_bytes() == (tmp_path / "own.json").read_bytes()
+
+    def test_hand_over_needs_one_entry_per_learner(self):
+        cfg = StackConfig((MEAN, MEAN), n_folds=3)
+        with pytest.raises(ValueError, match="1 fitted models handed over for 2 base"):
+            fit_stacked(random_table(12, 2, 0), cfg, [None])
+
     def test_prediction_inside_base_range(self):
         data = random_table(30, 2, 19)
         cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 5}),
