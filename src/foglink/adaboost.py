@@ -16,10 +16,9 @@ ln(1/beta).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +29,6 @@ from .tree import RegressionTree, fit_regression_tree
 # ln((1-eps)/eps)/2 formula diverges.
 _PERFECT_ALPHA = 0.5 * math.log((1.0 - 1e-12) / 1e-12)
 _PERFECT_LOG_INV_BETA = math.log(1e12)
-
-
-class AdaBoostMode(enum.Enum):
-    BINARY_CLASSIFIER = "binary_classifier"
-    R2_REGRESSOR = "r2_regressor"
 
 
 class AdaBoostTrainingError(RuntimeError):
@@ -50,10 +44,6 @@ class Stump:
     threshold: float
     polarity: int
 
-    def predict_row(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.polarity if x[self.feature] <= self.threshold else -self.polarity)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         side = np.where(X[:, self.feature] <= self.threshold, 1.0, -1.0)
@@ -61,10 +51,24 @@ class Stump:
 
 
 @dataclass
-class AdaBoostModel:
-    weak_learners: list[Union[Stump, RegressionTree]]
+class StumpVote:
+    """Binary classifier: the sign of the alpha-weighted stump vote."""
+
+    stumps: list[Stump]
     alphas: list[float]
-    mode: AdaBoostMode
+    round_errors: list[float]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        vote = sum(a * stump.predict(X) for a, stump in zip(self.alphas, self.stumps))
+        return np.where(vote >= 0, 1.0, -1.0)  # tie votes resolve to +1
+
+
+@dataclass
+class AdaBoostModel:
+    """AdaBoost.R2 regressor: the weighted median of its trees under ``alphas``."""
+
+    weak_learners: list[RegressionTree]
+    alphas: list[float]
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
     round_errors: Optional[list[float]] = None
@@ -79,10 +83,6 @@ class AdaBoostModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        if self.mode is AdaBoostMode.BINARY_CLASSIFIER:
-            vote = sum(a * learner.predict_row(x)
-                       for a, learner in zip(self.alphas, self.weak_learners))
-            return 1.0 if vote >= 0 else -1.0  # tie votes resolve to +1
         values = np.array([learner.predict_row(x) for learner in self.weak_learners])
         return _weighted_median(values, np.asarray(self.alphas))
 
@@ -134,7 +134,7 @@ def classifier_round(X: np.ndarray, y: np.ndarray,
     return stump, eps, alpha, updated / updated.sum()
 
 
-def fit_adaboost_classifier(data: LabeledTable, n_rounds: int) -> AdaBoostModel:
+def fit_adaboost_classifier(data: LabeledTable, n_rounds: int) -> StumpVote:
     """Boost threshold stumps on +-1 labels for up to ``n_rounds`` rounds."""
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
@@ -160,10 +160,7 @@ def fit_adaboost_classifier(data: LabeledTable, n_rounds: int) -> AdaBoostModel:
         errors.append(eps)
         if eps == 0.0:
             break
-    return AdaBoostModel(weak_learners=learners, alphas=alphas,
-                         mode=AdaBoostMode.BINARY_CLASSIFIER,
-                         n_features=data.n_features, feature_names=data.feature_names,
-                         round_errors=errors)
+    return StumpVote(stumps=learners, alphas=alphas, round_errors=errors)
 
 
 def fit_adaboost_r2(data: LabeledTable, n_rounds: int, min_leaf_size: int, *,
@@ -207,7 +204,5 @@ def fit_adaboost_r2(data: LabeledTable, n_rounds: int, min_leaf_size: int, *,
         losses.append(loss_bar)
         w = w * beta ** (1.0 - loss)
         w = w / w.sum()
-    return AdaBoostModel(weak_learners=learners, alphas=alphas,
-                         mode=AdaBoostMode.R2_REGRESSOR,
-                         n_features=data.n_features, feature_names=data.feature_names,
-                         round_errors=losses)
+    return AdaBoostModel(weak_learners=learners, alphas=alphas, n_features=data.n_features,
+                         feature_names=data.feature_names, round_errors=losses)

@@ -42,7 +42,6 @@ from .dataset import (
     TransceiverSweep,
     build_qos_table,
     parse_visibility_csv,
-    split_indices,
     synthesize_dataset,
     write_visibility_csv,
 )
@@ -67,6 +66,7 @@ from .metrics import compute_metrics
 from .neural import MLPModel, TrainConfig, TrainingError, train
 from .serialize import load_model, save_model
 from .stacking import LearnerSpec, StackConfig, StackingError, fit_base_learner, fit_stacked
+from .tables import split_indices
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -331,8 +331,7 @@ def cmd_link_sweep(args) -> int:
     p_rx = received_power_geometric(replace(tx, tx_power_w=powers), attens,
                                     cfg.link_range_km)
     snr = electrical_snr_linear(p_rx, noise)
-    # ber is scalar-only: math.erfc has no numpy counterpart
-    bers = np.array([ber(OokScheme.NRZ, s) for s in snr.ravel().tolist()]).reshape(snr.shape)
+    bers = ber(OokScheme.NRZ, snr)
     curves["ber_vs_attenuation.csv"] = (
         ["attenuation_db_per_km", "tx_power_w", "received_power_w", "snr_linear", "ber_nrz"],
         _rows(attens, powers, p_rx, snr, bers))
@@ -370,8 +369,11 @@ def cmd_link_sweep(args) -> int:
 
 def _station_profiles(stations: Optional[str]):
     """The profiles a --stations value names; every preset without one."""
-    names = ([s.strip() for s in stations.split(",") if s.strip()] if stations
-             else list(DEFAULT_STATION_PROFILES))
+    names = (list(DEFAULT_STATION_PROFILES) if stations is None
+             else [s.strip() for s in stations.split(",") if s.strip()])
+    if not names:
+        raise ValidationError(f"--stations {stations!r} names no station; "
+                              f"presets: {', '.join(DEFAULT_STATION_PROFILES)}")
     unknown = [n for n in names if n not in DEFAULT_STATION_PROFILES]
     if unknown:
         raise ValidationError(
@@ -381,8 +383,9 @@ def _station_profiles(stations: Optional[str]):
 
 
 def cmd_synth_data(args) -> int:
+    profiles = _station_profiles(args.stations)
     out = _out_dir(args)
-    records = synthesize_dataset(_station_profiles(args.stations), args.days, args.seed)
+    records = synthesize_dataset(profiles, args.days, args.seed)
     (out / "visibility.csv").write_text(write_visibility_csv(records))
     return EXIT_OK
 
@@ -549,13 +552,13 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("missing model file(s): " + ", ".join(
             str(base / models[name]["file"]) for name in missing))
 
+    groups = {"all": np.arange(test.table.n_rows)}
+    for station in sorted(set(test.stations.tolist())):
+        groups[station] = np.nonzero(test.stations == station)[0]
     metric_rows, prediction_rows = [], []
     for name in sorted(models):
         model = load_model(base / models[name]["file"])
         predicted = model.predict(test.table.features)
-        groups = {"all": np.arange(test.table.n_rows)}
-        for station in sorted(set(test.stations.tolist())):
-            groups[station] = np.nonzero(test.stations == station)[0]
         for location, idx in sorted(groups.items()):
             report = compute_metrics(test.table.targets[idx], predicted[idx])
             metric_rows.append((name, location, report.n, report.mse, report.mae,

@@ -37,7 +37,7 @@ from .link_budget import (
     snr_budget_db,
     watts_to_dbm,
 )
-from .tables import LabeledTable, partition_sizes
+from .tables import LabeledTable
 
 SYNOPTIC_HOURS = (8, 14, 20)
 TABLE_WAVELENGTHS_NM = (760.0, 860.0, 960.0, 1260.0, 1550.0)
@@ -291,14 +291,3 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
                          len(features) // len(records))
     return QosDataset(LabeledTable(features, np.repeat(snr_db.ravel(), len(modulations)),
                                    QOS_FEATURE_NAMES), stations)
-
-
-def split_indices(m: int, fractions: Sequence[float], seed: int) -> tuple[np.ndarray, ...]:
-    """Disjoint shuffled index groups with sizes within one of m*fraction."""
-    sizes = partition_sizes(m, fractions)
-    order = np.random.default_rng(seed).permutation(m)
-    groups, start = [], 0
-    for size in sizes:
-        groups.append(order[start:start + size])
-        start += size
-    return tuple(groups)

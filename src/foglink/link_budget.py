@@ -9,12 +9,12 @@ Conventions: optical powers in watts, apertures in metres, divergence in
 mrad, ranges in km (mrad * km = m, so beam footprints come out in metres),
 specific attenuation in dB/km unless a ``beta`` name marks km^-1.
 
-Every function except :func:`ber` and :func:`required_snr_for_ber` takes
-scalars or numpy arrays that broadcast against each other (the config
-dataclasses may hold arrays too); a scalar in gives a float out.  Both go
-through the same numpy ufuncs, so a scalar call equals the matching element
-of an array call bit for bit.  ``ber`` stays scalar because ``math.erfc``
-has no numpy counterpart.
+Every function except :func:`required_snr_for_ber` takes scalars or numpy
+arrays that broadcast against each other (the config dataclasses may hold
+arrays too); a scalar in gives a float out.  Both go through the same numpy
+ufuncs, so a scalar call equals the matching element of an array call bit
+for bit.  ``ber`` applies ``math.erfc``, which has no numpy counterpart,
+element by element.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ class ReceiverNoiseConfig:
     def __post_init__(self) -> None:
         for name in ("responsivity_a_per_w", "load_resistance_ohm", "temperature_k",
                      "electrical_bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.dark_current_a < 0:
-            raise ValueError(f"dark_current_a must be nonnegative, got {self.dark_current_a}")
+            val = getattr(self, name)
+            _reject(val <= 0, name + " must be positive, got {}", val)
+        _reject(self.dark_current_a < 0, "dark_current_a must be nonnegative, got {}",
+                self.dark_current_a)
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,8 @@ def dbm_to_watts(p_dbm: float) -> float:
     return np.power(10.0, p_dbm / 10.0) * 1e-3
 
 
-def photon_energy(wavelength_nm: float, noise: ReceiverNoiseConfig) -> float:
-    """Photon energy h*c/lambda in joules, with h = ``PLANCK_JS``; ``noise``
-    is not read."""
+def photon_energy(wavelength_nm: float) -> float:
+    """Photon energy h*c/lambda in joules, with h = ``PLANCK_JS``."""
     _reject(wavelength_nm <= 0, "wavelength_nm must be positive, got {}", wavelength_nm)
     return PLANCK_JS * SPEED_OF_LIGHT_M_PER_S / (wavelength_nm * 1e-9)
 
@@ -179,10 +178,11 @@ def received_power_aperture(cfg: TransceiverConfig, atten_db_per_km: float,
 
 def achievable_data_rate(p_received_w: float, wavelength_nm: float,
                          photons_per_bit: float, noise: ReceiverNoiseConfig) -> float:
-    """Data rate 4*P_rx / (pi * E_photon * N_bits) in bits per second."""
+    """Data rate 4*P_rx / (pi * E_photon * N_bits) in bits per second;
+    ``noise`` is not read."""
     _reject(p_received_w < 0, "p_received_w must be nonnegative, got {}", p_received_w)
     _reject(photons_per_bit <= 0, "photons_per_bit must be positive, got {}", photons_per_bit)
-    e_photon = photon_energy(wavelength_nm, noise)
+    e_photon = photon_energy(wavelength_nm)
     return 4.0 * p_received_w / (np.pi * e_photon * photons_per_bit)
 
 
@@ -226,18 +226,18 @@ def channel_capacity(bandwidth_hz: float, snr_linear: float) -> float:
     return bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def ber(scheme: OokScheme, snr_linear: float) -> float:
-    """OOK bit-error probability as a function of linear SNR (scalars only).
+    """OOK bit-error probability as a function of linear SNR.
 
     NRZ: erfc(sqrt(SNR)/(2*sqrt(2)))/2.  RZ: erfc(sqrt(SNR)/2)/2, i.e. RZ
     needs half the SNR of NRZ for the same error rate.
     """
-    if snr_linear < 0:
-        raise ValueError(f"snr_linear must be nonnegative, got {snr_linear}")
-    root = math.sqrt(snr_linear)
-    if scheme is OokScheme.NRZ:
-        return 0.5 * math.erfc(root / (2.0 * math.sqrt(2.0)))
-    return 0.5 * math.erfc(root / 2.0)
+    _reject(snr_linear < 0, "snr_linear must be nonnegative, got {}", snr_linear)
+    scale = 2.0 * math.sqrt(2.0) if scheme is OokScheme.NRZ else 2.0
+    return 0.5 * np.asarray(_erfc(np.sqrt(snr_linear) / scale), dtype=float)
 
 
 def required_snr_for_ber(scheme: OokScheme, target_ber: float) -> float:

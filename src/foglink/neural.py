@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tables import LabeledTable, partition_sizes
+from .tables import LabeledTable, split_indices
 
 
 class ActivationKind(enum.Enum):
@@ -210,12 +210,9 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
             f"model expects {model.layer_sizes[0]} inputs, table has {data.n_features}")
 
     rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(data.n_rows)
     # largest-remainder rounding gives the 0.7 share a row whenever there is one
-    n_train, n_val, _ = partition_sizes(data.n_rows, (0.7, 0.15, 0.15))
-    train_rows = order[:n_train]
-    val_rows = order[n_train:n_train + n_val]
-    test_rows = order[n_train + n_val:]
+    train_rows, val_rows, test_rows = split_indices(data.n_rows, (0.7, 0.15, 0.15), rng)
+    n_train = len(train_rows)
 
     X_train = data.features[train_rows]
     y_train = data.targets[train_rows]

@@ -20,7 +20,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from .adaboost import AdaBoostMode, AdaBoostModel, Stump
+from .adaboost import AdaBoostModel
 from .boosting import GradientBoostModel
 from .forest import RandomForestModel
 from .neural import ActivationKind, MLPModel
@@ -74,15 +74,10 @@ def model_to_dict(model: AnyModel) -> dict:
                 "feature_names": _names(model),
                 "trees": [_nodes(t) for t in model.trees]}
     if isinstance(model, AdaBoostModel):
-        if model.mode is AdaBoostMode.BINARY_CLASSIFIER:
-            learners = [{"feature": s.feature, "threshold": s.threshold,
-                         "polarity": s.polarity} for s in model.weak_learners]
-        else:
-            learners = [_nodes(t) for t in model.weak_learners]
-        return {"model": "adaboost", "mode": model.mode.value,
-                "alphas": list(model.alphas), "round_errors": model.round_errors,
-                "n_features": model.n_features, "feature_names": _names(model),
-                "learners": learners}
+        return {"model": "adaboost", "alphas": list(model.alphas),
+                "round_errors": model.round_errors, "n_features": model.n_features,
+                "feature_names": _names(model),
+                "learners": [_nodes(t) for t in model.weak_learners]}
     if isinstance(model, StackedModel):
         return {"model": "stacked", "weights": [float(w) for w in model.weights],
                 "specs": [{"kind": s.kind, "name": s.name, "params": s.params}
@@ -115,14 +110,9 @@ def model_from_dict(d: dict) -> AnyModel:
                                   learning_rate=float(d["learning_rate"]),
                                   n_features=int(d["n_features"]), feature_names=names)
     if kind == "adaboost":
-        mode = AdaBoostMode(d["mode"])
-        if mode is AdaBoostMode.BINARY_CLASSIFIER:
-            learners = [Stump(int(s["feature"]), float(s["threshold"]), int(s["polarity"]))
-                        for s in d["learners"]]
-        else:
-            learners = [_tree(n, int(d["n_features"]), names) for n in d["learners"]]
+        learners = [_tree(n, int(d["n_features"]), names) for n in d["learners"]]
         return AdaBoostModel(weak_learners=learners,
-                             alphas=[float(a) for a in d["alphas"]], mode=mode,
+                             alphas=[float(a) for a in d["alphas"]],
                              n_features=int(d["n_features"]), feature_names=names,
                              round_errors=d.get("round_errors"))
     if kind == "stacked":

@@ -37,7 +37,7 @@ import numpy as np
 from .adaboost import fit_adaboost_r2
 from .boosting import fit_gradient_boost
 from .forest import default_mtry_regression, fit_random_forest
-from .tables import LabeledTable
+from .tables import LabeledTable, split_indices
 from .tree import fit_regression_tree
 
 # 2**10 - 1 = 1,023 supports to enumerate in the weight solve
@@ -116,17 +116,11 @@ def fit_base_learner(spec: LearnerSpec, data: LabeledTable, seed: int):
 
 
 def kfold_partition(m: int, n_folds: int, seed: int) -> list[np.ndarray]:
-    """Shuffle row indices and cut them into ``n_folds`` near-equal folds."""
+    """Shuffle row indices and cut them into ``n_folds`` sorted folds whose
+    sizes differ by at most one, the larger first."""
     if not 2 <= n_folds <= m:
         raise ValueError(f"n_folds must lie in [2, {m}], got {n_folds}")
-    order = np.random.default_rng(seed).permutation(m)
-    base, extra = divmod(m, n_folds)
-    folds, start = [], 0
-    for h in range(n_folds):
-        size = base + (1 if h < extra else 0)
-        folds.append(np.sort(order[start:start + size]))
-        start += size
-    return folds
+    return [np.sort(f) for f in split_indices(m, (1.0 / n_folds,) * n_folds, seed)]
 
 
 def _fold_workers(n_tasks: int) -> int:

@@ -1,4 +1,5 @@
-"""Feature/target tables shared by the physics pipeline and the learners."""
+"""Feature/target tables shared by the physics pipeline and the learners,
+and the seeded row splits cut from them."""
 
 from __future__ import annotations
 
@@ -72,3 +73,13 @@ def partition_sizes(m: int, fractions: Sequence[float]) -> list[int]:
     for i in sorted(range(len(fractions)), key=lambda i: -remainders[i])[:leftover]:
         sizes[i] += 1
     return sizes
+
+
+def split_indices(m: int, fractions: Sequence[float],
+                  seed: int | np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Shuffle the row indices ``0..m-1`` with ``seed`` and cut them into
+    consecutive groups of the :func:`partition_sizes` sizes.  A Generator
+    seed is drawn from, and so advanced."""
+    sizes = partition_sizes(m, fractions)
+    order = np.random.default_rng(seed).permutation(m)
+    return tuple(np.split(order, np.cumsum(sizes[:-1])))

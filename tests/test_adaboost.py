@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foglink.adaboost import (
-    AdaBoostMode,
-    AdaBoostModel,
     AdaBoostTrainingError,
     Stump,
+    StumpVote,
     classifier_round,
     fit_adaboost_classifier,
     fit_adaboost_r2,
@@ -60,9 +60,9 @@ class TestClassifierFit:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         model = fit_adaboost_classifier(LabeledTable(X, y, ("x",)), 10)
-        assert len(model.weak_learners) == 1
+        assert len(model.stumps) == 1
         assert model.round_errors == [0.0]
-        assert [model.predict_row(row) for row in X] == list(y)
+        assert model.predict(X).tolist() == list(y)
 
     def test_all_stored_errors_below_half_and_alphas_positive(self):
         rng = np.random.default_rng(23)
@@ -81,8 +81,7 @@ class TestClassifierFit:
         many = fit_adaboost_classifier(data, 25)
 
         def training_error(model):
-            wrong = sum(model.predict_row(row) != label for row, label in zip(X, y))
-            return wrong / len(y)
+            return float(np.mean(model.predict(X) != y))
 
         assert training_error(many) < training_error(one)
 
@@ -107,20 +106,34 @@ class TestPredictVote:
     def _model(self, votes, alphas):
         # stump with huge threshold always fires its polarity
         stumps = [Stump(0, 1e9, v) for v in votes]
-        return AdaBoostModel(weak_learners=stumps, alphas=list(alphas),
-                             mode=AdaBoostMode.BINARY_CLASSIFIER, n_features=1)
+        return StumpVote(stumps=stumps, alphas=list(alphas), round_errors=[])
 
     def test_single_learner_vote(self):
-        assert self._model([1], [1.0]).predict_row([0.0]) == 1.0
-        assert self._model([-1], [1.0]).predict_row([0.0]) == -1.0
+        assert self._model([1], [1.0]).predict([[0.0]]).tolist() == [1.0]
+        assert self._model([-1], [1.0]).predict([[0.0]]).tolist() == [-1.0]
 
     def test_weighted_majority(self):
         model = self._model([1, 1, -1], [0.3, 0.4, 0.5])
-        assert model.predict_row([0.0]) == 1.0
+        assert model.predict([[0.0]]).tolist() == [1.0]
 
     def test_symmetric_tie_resolves_positive(self):
         model = self._model([1, -1], [0.5, 0.5])
-        assert model.predict_row([0.0]) == 1.0
+        assert model.predict([[0.0], [5.0]]).tolist() == [1.0, 1.0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_stumps=st.integers(1, 6))
+    def test_vote_is_the_alpha_weighted_sign_row_by_row(self, seed, n_stumps):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-2, 3, size=(40, 2)).astype(float)
+        stumps = [Stump(int(rng.integers(2)), float(rng.integers(-2, 2)) + 0.5,
+                        int(rng.choice([-1, 1]))) for _ in range(n_stumps)]
+        # alphas from a small set, so exact ties occur
+        alphas = rng.choice([0.25, 0.5, 1.0], size=n_stumps).tolist()
+        model = StumpVote(stumps=stumps, alphas=alphas, round_errors=[])
+        for row, label in zip(X, model.predict(X)):
+            vote = sum(a * (s.polarity if row[s.feature] <= s.threshold else -s.polarity)
+                       for a, s in zip(alphas, stumps))
+            assert label == (1.0 if vote >= 0 else -1.0)
 
 
 class TestAdaboostR2:

@@ -202,6 +202,15 @@ class TestSynthData:
         assert main(["synth-data", "--days", "2", "--stations", "Atlantis",
                      "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("stations", [",", "", " , "])
+    def test_value_naming_no_station_rejected(self, tmp_path, capsys, stations):
+        out = tmp_path / "out"
+        assert main(["synth-data", "--days", "2", "--stations", stations,
+                     "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--stations" in err and "names no station" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

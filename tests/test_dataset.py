@@ -22,7 +22,6 @@ from foglink.dataset import (
     aggregate_station_climatology,
     build_qos_table,
     parse_visibility_csv,
-    split_indices,
     synthesize_dataset,
     write_visibility_csv,
 )
@@ -36,6 +35,7 @@ from foglink.link_budget import (
     snr_budget_db,
     watts_to_dbm,
 )
+from foglink.tables import split_indices
 
 
 def record(station="Test", visibility=2.0, hour=8, day=1):

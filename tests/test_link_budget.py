@@ -44,20 +44,20 @@ def erfc_by_quadrature(x, n=20000, span=12.0):
 
 class TestPhotonEnergy:
     def test_1550_nm(self):
-        assert photon_energy(1550.0, NOISE) == pytest.approx(1.282e-19, rel=2e-3)
+        assert photon_energy(1550.0) == pytest.approx(1.282e-19, rel=2e-3)
 
     def test_inverse_proportionality(self):
-        assert photon_energy(775.0, NOISE) == pytest.approx(
-            2.0 * photon_energy(1550.0, NOISE), rel=1e-12)
+        assert photon_energy(775.0) == pytest.approx(
+            2.0 * photon_energy(1550.0), rel=1e-12)
 
     def test_550_nm(self):
-        assert photon_energy(550.0, NOISE) == pytest.approx(3.613e-19, rel=2e-3)
+        assert photon_energy(550.0) == pytest.approx(3.613e-19, rel=2e-3)
 
     def test_rejects_nonpositive_wavelength(self):
         with pytest.raises(ValueError):
-            photon_energy(0.0, NOISE)
+            photon_energy(0.0)
         with pytest.raises(ValueError):
-            photon_energy(np.array([1550.0, 0.0]), NOISE)
+            photon_energy(np.array([1550.0, 0.0]))
 
 
 class TestReceivedPowerGeometric:
@@ -161,7 +161,7 @@ class TestAchievableDataRate:
         cfg = TransceiverConfig(tx_power_w=p_tx, tx_aperture_m=d_t, rx_aperture_m=d_r,
                                 divergence_mrad=theta)
         photons = 100.0
-        e_p = photon_energy(1550.0, NOISE)
+        e_p = photon_energy(1550.0)
         direct = (4.0 * p_tx * 0.8 * 0.8 * d_r ** 2 * 10.0 ** (-atten * length / 10.0)
                   / (math.pi * (d_t + theta * length) ** 2 * e_p * photons))
         p_rx = received_power_geometric(cfg, atten, length) * 0.8 * 0.8
@@ -267,6 +267,23 @@ class TestBer:
         with pytest.raises(ValueError):
             ber(OokScheme.NRZ, -1.0)
 
+    @pytest.mark.parametrize("scheme", list(OokScheme))
+    def test_array_call_equals_scalar_calls(self, scheme):
+        rng = np.random.default_rng(12)
+        snr = np.concatenate([[0.0, 1e-300, 36.0, 1e300], rng.uniform(0.0, 500.0, 400),
+                              np.exp(rng.uniform(-40.0, 40.0, 400))]).reshape(3, -1, 2)
+        array = ber(scheme, snr)
+        assert array.shape == snr.shape and array.dtype == float
+        assert array.ravel().tolist() == [ber(scheme, s) for s in snr.ravel().tolist()]
+        # the closed form with math.sqrt and math.erfc, as the scalar path once was
+        scale = 2.0 * math.sqrt(2.0) if scheme is OokScheme.NRZ else 2.0
+        assert array.ravel().tolist() == [0.5 * math.erfc(math.sqrt(s) / scale)
+                                          for s in snr.ravel().tolist()]
+
+    def test_negative_element_named(self):
+        with pytest.raises(ValueError, match=r"snr_linear must be nonnegative, got -2\.5$"):
+            ber(OokScheme.RZ, np.array([[1.0, 4.0], [-2.5, -7.0]]))
+
 
 class TestRequiredSnr:
     def test_near_half_target_needs_no_snr(self):
@@ -350,6 +367,23 @@ class TestConfigValidation:
             RfBudgetInputs(tx_power_dbm=20.0, wavelength_m=np.array([1.55e-6, 0.0]))
         TransceiverConfig(tx_power_w=np.array([0.1, 1.0]), rx_efficiency=np.array([1.0]))
 
+    def test_array_noise_config_equals_scalar_configs(self):
+        temps = np.array([[250.0], [290.0], [300.0]])
+        bandwidths = np.array([1e8, 1e9])
+        p_rx = np.array([1e-7, 1e-6])
+        snr = electrical_snr_linear(p_rx, ReceiverNoiseConfig(
+            temperature_k=temps, electrical_bandwidth_hz=bandwidths))
+        assert snr.shape == (3, 2)
+        for (i, j), value in np.ndenumerate(snr):
+            assert value == electrical_snr_linear(p_rx[j], ReceiverNoiseConfig(
+                temperature_k=float(temps[i, 0]), electrical_bandwidth_hz=bandwidths[j]))
+
+    def test_bad_noise_config_element_named(self):
+        with pytest.raises(ValueError, match=r"temperature_k must be positive, got -3\.0$"):
+            ReceiverNoiseConfig(temperature_k=np.array([290.0, -3.0, 0.0]))
+        with pytest.raises(ValueError, match=r"dark_current_a must be nonnegative, got -1e-09$"):
+            ReceiverNoiseConfig(dark_current_a=np.array([[0.0], [-1e-9]]))
+
     def test_boltzmann_constant_not_a_noise_field(self):
         """The thermal noise and the dB budget share the module constant."""
         with pytest.raises(TypeError, match="boltzmann_j_per_k"):
@@ -359,7 +393,7 @@ class TestConfigValidation:
         """The photon energy takes Planck's constant from the module."""
         with pytest.raises(TypeError, match="planck_js"):
             ReceiverNoiseConfig(planck_js=1.0)
-        assert photon_energy(1550.0, NOISE) == PLANCK_JS * SPEED_OF_LIGHT_M_PER_S / (1550.0 * 1e-9)
+        assert photon_energy(1550.0) == PLANCK_JS * SPEED_OF_LIGHT_M_PER_S / (1550.0 * 1e-9)
 
 
 class TestDbConversions:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from foglink.adaboost import fit_adaboost_classifier, fit_adaboost_r2
+from foglink.adaboost import fit_adaboost_r2
 from foglink.boosting import fit_gradient_boost
 from foglink.cli import EXIT_VALIDATION, main
 from foglink.forest import fit_random_forest
@@ -52,20 +52,39 @@ def test_gradient_boost_round_trip(data, grid):
     assert clone.learning_rate == 0.2
 
 
-def test_adaboost_classifier_round_trip(grid):
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(40, 3))
-    y = np.where(X[:, 0] > 0, 1.0, -1.0)
-    model = fit_adaboost_classifier(LabeledTable(X, y, ("a", "b", "c")), 5)
-    clone = round_trip(model)
-    assert np.array_equal(model.predict(grid), clone.predict(grid))
-    assert clone.alphas == model.alphas
-
-
 def test_adaboost_r2_round_trip(data, grid):
     model = fit_adaboost_r2(data, 5, 2)
     clone = round_trip(model)
     assert np.array_equal(model.predict(grid), clone.predict(grid))
+
+
+def test_adaboost_file_with_mode_key_loads(tmp_path, data, grid):
+    """Earlier versions wrote ``"mode":"r2_regressor"`` into every AdaBoost
+    file; loading ignores it."""
+    model = fit_adaboost_r2(data, 5, 2)
+    path = tmp_path / "adbr.json"
+    path.write_text(json.dumps({**model_to_dict(model), "mode": "r2_regressor"},
+                               sort_keys=True, separators=(",", ":")) + "\n")
+    clone = load_model(path)
+    assert np.array_equal(clone.predict(grid), model.predict(grid))
+    assert clone.alphas == model.alphas and clone.round_errors == model.round_errors
+
+
+def test_adaboost_classifier_payload_is_refused(tmp_path, capsys):
+    """A stump classifier is not a saved model kind: its file exits 3."""
+    payload = {"model": "adaboost", "mode": "binary_classifier", "alphas": [0.5],
+               "round_errors": [0.25], "n_features": 1, "feature_names": ["x"],
+               "learners": [{"feature": 0, "threshold": 1.5, "polarity": 1}]}
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(payload))
+    features = tmp_path / "features.csv"
+    features.write_text("x\n0.5\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(path), "--features", str(features),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"model file {path}: malformed field" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_stacked_round_trip(data, grid):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foglink import stacking
 from foglink.serialize import save_model
@@ -22,7 +23,7 @@ from foglink.stacking import (
     solve_stacking_weights,
     stack_objective,
 )
-from foglink.tables import LabeledTable
+from foglink.tables import LabeledTable, split_indices
 
 
 def random_table(m, k, seed):
@@ -82,6 +83,21 @@ class TestKfold:
     def test_too_many_folds_rejected(self):
         with pytest.raises(ValueError):
             kfold_partition(3, 4, seed=0)
+
+    def test_pinned_folds(self):
+        """The folds the cut loop this replaced drew, so stacks stay unchanged."""
+        folds = kfold_partition(11, 3, seed=4)
+        assert [f.tolist() for f in folds] == [[0, 1, 2, 8], [6, 7, 9, 10], [3, 4, 5]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 3000), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_folds_are_the_sorted_row_split(self, m, data, seed):
+        n_folds = data.draw(st.integers(2, min(m, 60)))
+        folds = kfold_partition(m, n_folds, seed)
+        parts = split_indices(m, (1.0 / n_folds,) * n_folds, seed)
+        assert [f.tolist() for f in folds] == [sorted(p.tolist()) for p in parts]
+        base, extra = divmod(m, n_folds)
+        assert [len(f) for f in folds] == [base + 1] * extra + [base] * (n_folds - extra)
 
 
 class TestLevel1:
