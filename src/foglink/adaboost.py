@@ -17,7 +17,9 @@ ln(1/beta).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,24 +80,28 @@ class AdaBoostModel:
             raise ValueError(f"AdaBoost needs one alpha per weak learner and at least one "
                              f"learner, got {len(self.alphas)} alphas for "
                              f"{len(self.weak_learners)} learners")
+        # positive alphas keep the running sums of predict_row ascending
+        for i, alpha in enumerate(self.alphas):
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ValueError(f"AdaBoost alphas[{i}] must be finite and positive, "
+                                 f"got {alpha!r}")
 
     def predict_row(self, x: Sequence[float]) -> float:
+        """The weighted median of the trees' values: the smallest value, in
+        stable order, whose running alpha sum reaches half the total."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        values = np.array([learner.predict_row(x) for learner in self.weak_learners])
-        return _weighted_median(values, np.asarray(self.alphas))
+        xs = x.tolist()
+        values = [learner.leaf_value(xs) for learner in self.weak_learners]
+        order = sorted(range(len(values)), key=values.__getitem__)
+        cum = list(accumulate(self.alphas[i] for i in order))
+        j = bisect_left(cum, 0.5 * cum[-1])
+        return values[order[min(j, len(order) - 1)]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return np.array([self.predict_row(row) for row in X])
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    j = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(values[order][min(j, values.size - 1)])
 
 
 def _candidate_thresholds(column: np.ndarray) -> np.ndarray:

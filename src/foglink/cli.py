@@ -587,13 +587,30 @@ def cmd_predict(args) -> int:
         raise ValidationError(
             f"feature columns {header} do not match the model's recorded "
             f"feature names {expected} (order matters)")
+    # one pass over the whole file; on any fault the line loop names the first bad line
+    try:
+        X = np.array([list(map(float, line.split(","))) for line in lines[1:] if line.strip()])
+    except ValueError:
+        X = None
+    if X is None or X.ndim != 2 or X.shape[1] != len(expected) or not np.isfinite(X).all():
+        X = np.array(_feature_rows(lines, len(expected))).reshape(-1, len(expected))
+    out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    predictions = model.predict(X) if len(X) else np.empty(0)
+    _write_csv(out_path, expected + ["prediction"], np.column_stack((X, predictions)).tolist())
+    return EXIT_OK
+
+
+def _feature_rows(lines: list[str], n_columns: int) -> list[list[float]]:
+    """The feature rows of a CSV's lines, parsed one line at a time; the
+    first bad line raises a ``CsvParseError`` naming it."""
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != len(expected):
-            raise CsvParseError(line_no, f"expected {len(expected)} columns, got {len(parts)}")
+        if len(parts) != n_columns:
+            raise CsvParseError(line_no, f"expected {n_columns} columns, got {len(parts)}")
         try:
             values = [float(p) for p in parts]
         except ValueError:
@@ -601,12 +618,7 @@ def cmd_predict(args) -> int:
         if not all(map(math.isfinite, values)):
             raise CsvParseError(line_no, f"non-finite feature value in {line!r}")
         rows.append(values)
-    out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    predictions = model.predict(np.asarray(rows)).tolist() if rows else []
-    _write_csv(out_path, expected + ["prediction"],
-               (row + [p] for row, p in zip(rows, predictions)))
-    return EXIT_OK
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,7 +47,7 @@ class RegressionTree:
     there (and ``value`` does at splits).  Every child index is greater than
     its parent's, so a walk from the root always ends at a leaf.  The lists
     are plain Python lists: indexing them yields Python scalars, which keeps
-    the per-row walk of ``predict_row`` fast.
+    the per-row walk of ``leaf_value`` fast.
     """
 
     feature: list[int]
@@ -62,7 +62,11 @@ class RegressionTree:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
-        x = x.tolist()  # compare Python floats, not numpy scalars
+        return self.leaf_value(x.tolist())  # compare Python floats, not numpy scalars
+
+    def leaf_value(self, x: list) -> float:
+        """The value of the leaf row ``x`` reaches; ``x`` is a list of
+        ``n_features`` Python floats, unchecked."""
         feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
         node, f = 0, feature[0]
         while f >= 0:

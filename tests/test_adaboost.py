@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foglink.adaboost import (
+    AdaBoostModel,
     AdaBoostTrainingError,
     Stump,
     StumpVote,
@@ -13,6 +14,7 @@ from foglink.adaboost import (
     fit_adaboost_r2,
 )
 from foglink.tables import LabeledTable
+from foglink.tree import RegressionTree
 
 # one feature, one mislabelled point relative to the best threshold rule
 HAND_X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -180,6 +182,39 @@ class TestAdaboostR2:
         x = np.array([0.5, 0.5])
         member = sorted(t.predict_row(x) for t in model.weak_learners)
         assert member[0] <= model.predict_row(x) <= member[-1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_trees=st.integers(1, 9))
+    def test_predict_equals_numpy_weighted_median(self, data, n_trees):
+        """Row by row, bit for bit: the stable argsort / cumsum / searchsorted
+        rule over the trees' values, with tied values and tied running sums."""
+        value = st.sampled_from([-1.5, 0.0, 0.25, 2.0, 7.0])
+        alpha = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                          st.builds(lambda m, e: m * 10.0 ** e,
+                                    st.floats(1.0, 10.0), st.integers(-8, 8)))
+        stumps = [RegressionTree(feature=[data.draw(st.integers(0, 1)), -1, -1],
+                                 threshold=[data.draw(st.sampled_from([-0.5, 0.0, 0.5])),
+                                            0.0, 0.0],
+                                 left=[1, -1, -1], right=[2, -1, -1],
+                                 value=[0.0, data.draw(value), data.draw(value)],
+                                 n_features=2) for _ in range(n_trees)]
+        alphas = data.draw(st.lists(alpha, min_size=n_trees, max_size=n_trees))
+        model = AdaBoostModel(weak_learners=stumps, alphas=alphas, n_features=2)
+        coordinate = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=2, max_size=2),
+                                        min_size=1, max_size=12)))
+        for row, got in zip(X, model.predict(X)):
+            values = np.array([tree.predict_row(row) for tree in stumps])
+            order = np.argsort(values, kind="stable")
+            cum = np.cumsum(np.asarray(alphas)[order])
+            j = int(np.searchsorted(cum, 0.5 * cum[-1]))
+            assert got == values[order][min(j, n_trees - 1)]
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan"), float("inf")])
+    def test_alpha_not_finite_and_positive_refused(self, alpha):
+        stump = RegressionTree([-1], [0.0], [-1], [-1], [1.0], n_features=1)
+        with pytest.raises(ValueError, match=r"alphas\[1\] must be finite and positive"):
+            AdaBoostModel(weak_learners=[stump] * 3, alphas=[1.0, alpha, alpha], n_features=1)
 
     def test_hopeless_weak_learner_fails_round_one(self):
         X = np.array([[0.0], [1.0]])

@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference_tree import reference_grow
 
 from foglink import adaboost, boosting, cli, forest, stacking, tree
@@ -493,6 +496,29 @@ def test_out_of_range_config_value_named(key, text, value, message, where, train
     assert f"config key {key}: {message}" in err and "Traceback" not in err
 
 
+# feature-file lines: numbers in several spellings, padded with spaces
+_CELL = st.tuples(
+    st.sampled_from(["", " ", "  "]),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.sampled_from(["1e3", "+2", "-0.0", "0", ".5", "-7.5E-3"])),
+    st.sampled_from(["", " "])).map("".join)
+_ROW = st.lists(_CELL, min_size=3, max_size=3)
+_BLANK = st.sampled_from(["", " ", "   "])
+_NOT_A_NUMBER = st.sampled_from(["abc", "", "1.2.3", "0x10", "--1"])
+_NOT_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+
+
+@pytest.fixture(scope="module")
+def boosted_dir(tmp_path_factory):
+    """A directory holding a three-feature AdaBoost model, ``adbr.json``."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2, 2, size=(40, 3))
+    table = LabeledTable(X, X[:, 0] - X[:, 1] * X[:, 2], ("a", "b", "c"))
+    directory = tmp_path_factory.mktemp("boosted")
+    save_model(adaboost.fit_adaboost_r2(table, 5, 2), directory / "adbr.json")
+    return directory
+
+
 class TestPredict:
     @pytest.fixture
     def tree_file(self, tmp_path):
@@ -559,6 +585,47 @@ class TestPredict:
                      "--out", str(out)]) == EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_parse_equals_line_loop(self, boosted_dir, data):
+        """Blank lines, padded cells and several spellings float() takes, with at
+        most one ragged, non-numeric or non-finite line: exit code, stderr and
+        output bytes equal those of the line loop's rows."""
+        lines = [",".join(cells) for cells in data.draw(st.lists(st.one_of(
+            _ROW, _BLANK.map(lambda blank: [blank])), max_size=8))]
+        bad = data.draw(st.sampled_from([None, "short", "long", "not a number", "not finite"]))
+        if bad is not None:
+            cells = data.draw(_ROW)
+            if bad == "short":
+                cells = cells[:data.draw(st.integers(1, 2))]
+            elif bad == "long":
+                cells += data.draw(st.lists(_CELL, min_size=1, max_size=2))
+            else:
+                token = data.draw(_NOT_A_NUMBER if bad == "not a number" else _NOT_FINITE)
+                cells[data.draw(st.integers(0, 2))] = token
+            lines.insert(data.draw(st.integers(0, len(lines))), ",".join(cells))
+        text = "\n".join(["a,b,c"] + lines) + data.draw(st.sampled_from(["", "\n"]))
+        feats, out = boosted_dir / "feats.csv", boosted_dir / "pred.csv"
+        feats.write_text(text)
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["predict", "--model", str(boosted_dir / "adbr.json"),
+                         "--features", str(feats), "--out", str(out)])
+        try:
+            rows = cli._feature_rows(text.splitlines(), 3)
+        except cli.CsvParseError as exc:
+            assert (code, err.getvalue()) == (EXIT_PARSE, f"parse error: {exc}\n")
+            assert not out.exists()
+            return
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        model = load_model(boosted_dir / "adbr.json")
+        predictions = model.predict(np.asarray(rows)).tolist() if rows else []
+        reference = boosted_dir / "reference.csv"
+        cli._write_csv(reference, ["a", "b", "c", "prediction"],
+                       (row + [p] for row, p in zip(rows, predictions)))
+        assert out.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda p: p["left"].__setitem__(0, 0), "children in (0,"),

@@ -87,6 +87,24 @@ def test_adaboost_classifier_payload_is_refused(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+def test_adaboost_alpha_not_positive_is_refused(tmp_path, capsys, data, alpha):
+    """AdaBoost.R2 only stores alphas ln(1/beta) > 0; a file holding another
+    exits 3 naming the alpha."""
+    payload = model_to_dict(fit_adaboost_r2(data, 5, 2))
+    payload["alphas"][1] = alpha
+    path = tmp_path / "adbr.json"
+    path.write_text(json.dumps(payload))
+    features = tmp_path / "features.csv"
+    features.write_text("a,b,c\n0.5,0.5,0.5\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(path), "--features", str(features),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"model file {path}: AdaBoost alphas[1] must be finite and positive" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_stacked_round_trip(data, grid):
     cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
                        LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3}),
