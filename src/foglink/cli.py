@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import starmap
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -248,10 +249,11 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Rows of Python scalars; ``str`` of a Python float is its ``repr``."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Rows of one cell per header column, each written as ``format(cell, "")``,
+    which is its ``str``: a Python float's ``repr``, and a cell of ``_rows``
+    as it is.  Every line is formatted in C."""
+    line = ",".join(["{}"] * len(header)).format
+    path.write_text("\n".join([",".join(header), *starmap(line, rows)]) + "\n")
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -267,9 +269,15 @@ def _out_dir(args) -> Path:
 
 
 def _rows(*columns):
-    """CSV rows from columns that broadcast together, in C order, as Python
-    scalars (so ``_write_csv`` writes each float's repr)."""
-    return zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))
+    """CSV rows from columns that broadcast together, in C order.  Each value
+    becomes text once, at its column's own shape (``str`` of the Python
+    scalar, so a float's ``repr``); only then is the text broadcast."""
+    texts = []
+    for column in map(np.asarray, columns):
+        text = np.empty(column.shape, dtype=object)
+        text.ravel()[:] = list(map(str, column.ravel().tolist()))
+        texts.append(text)
+    return zip(*(text.ravel().tolist() for text in np.broadcast_arrays(*texts)))
 
 
 def cmd_attenuation_sweep(args) -> int:
@@ -290,7 +298,8 @@ def cmd_attenuation_sweep(args) -> int:
 
 
 def cmd_link_sweep(args) -> int:
-    """Compute and check all five curves, then write them; a failure writes nothing."""
+    """Compute and check all five curves, then write them one file at a time;
+    a failure writes nothing."""
     cfg = load_config(args.config)
     model = cfg.model()
     if not cfg.wavelengths_nm or not cfg.tx_powers_w:
@@ -316,7 +325,7 @@ def cmd_link_sweep(args) -> int:
     rate = achievable_data_rate(p_rx, lams, cfg.photons_per_bit, noise)
     curves["data_rate_vs_attenuation.csv"] = (
         ["attenuation_db_per_km", "wavelength_nm", "received_power_w", "data_rate_bps"],
-        _rows(attens, lams, p_rx, rate))
+        (attens, lams, p_rx, rate))
 
     # received power vs range at the sweep visibility
     path = OpticalPath(lams, ranges, cfg.sweep_visibility_km)
@@ -325,7 +334,7 @@ def cmd_link_sweep(args) -> int:
     curves["received_power_vs_range.csv"] = (
         ["range_km", "wavelength_nm", "atten_db_per_km", "received_power_w",
          "received_power_dbm"],
-        _rows(ranges, lams, atten, p_rx, watts_to_dbm(p_rx)))
+        (ranges, lams, atten, p_rx, watts_to_dbm(p_rx)))
 
     # BER vs attenuation per transmit power (NRZ, fixed wavelength)
     p_rx = received_power_geometric(replace(tx, tx_power_w=powers), attens,
@@ -334,7 +343,7 @@ def cmd_link_sweep(args) -> int:
     bers = ber(OokScheme.NRZ, snr)
     curves["ber_vs_attenuation.csv"] = (
         ["attenuation_db_per_km", "tx_power_w", "received_power_w", "snr_linear", "ber_nrz"],
-        _rows(attens, powers, p_rx, snr, bers))
+        (attens, powers, p_rx, snr, bers))
 
     # Shannon capacity vs range per wavelength, SNR from the dB budget
     total_db = path_attenuation_db(extinction_coefficient(path, model), ranges)
@@ -343,7 +352,7 @@ def cmd_link_sweep(args) -> int:
     capacity = channel_capacity(cfg.electrical_bandwidth_hz, db_to_linear(snr_db))
     curves["capacity_vs_range.csv"] = (
         ["range_km", "wavelength_nm", "snr_db", "capacity_bps"],
-        _rows(ranges, lams, snr_db, capacity))
+        (ranges, lams, snr_db, capacity))
 
     # transmit power penalty vs range per fog class
     names, fog_visibilities = np.array(list(fog_classes)), np.array(list(fog_classes.values()))
@@ -359,11 +368,11 @@ def cmd_link_sweep(args) -> int:
             f"fog class {names[fog]} at range {ranges.item(row)} km: {exc}") from exc
     curves["power_penalty_vs_range.csv"] = (
         ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"],
-        _rows(ranges, names, fog_visibilities, penalty))
+        (ranges, names, fog_visibilities, penalty))
 
     out = _out_dir(args)
-    for name, (header, rows) in curves.items():
-        _write_csv(out / name, header, rows)
+    for name, (header, columns) in curves.items():
+        _write_csv(out / name, header, _rows(*columns))
     return EXIT_OK
 
 
@@ -597,7 +606,8 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     predictions = model.predict(X) if len(X) else np.empty(0)
-    _write_csv(out_path, expected + ["prediction"], np.column_stack((X, predictions)).tolist())
+    # rows are zipped from the columns as they are written, never held as one matrix
+    _write_csv(out_path, expected + ["prediction"], zip(*X.T.tolist(), predictions.tolist()))
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ budget.
 from __future__ import annotations
 
 import datetime
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
@@ -79,10 +80,11 @@ class ParseResult:
 def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
     """Parse the strict six-column schema.
 
-    Structural problems (wrong header, wrong column count, unparseable
-    fields) raise :class:`CsvParseError` with the line number; rows that are
-    well-formed but carry nonpositive visibility are collected in the
-    rejected-row report instead.  Non-synoptic hours warn and pass through.
+    Structural problems (wrong header, wrong column count, unparseable or
+    non-finite fields) raise :class:`CsvParseError` with the line number;
+    rows that are well-formed but carry nonpositive visibility are collected
+    in the rejected-row report instead.  Non-synoptic hours warn and pass
+    through.
     """
     records: list[VisibilityRecord] = []
     rejected: list[RejectedRow] = []
@@ -115,9 +117,12 @@ def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
         values = []
         for name, part in zip(("visibility_km", "wind_speed_mps", "altitude_m"), parts[3:]):
             try:
-                values.append(float(part))
+                value = float(part)
             except ValueError as exc:
                 raise CsvParseError(line_no, f"column {name!r}: not a number: {part!r}") from exc
+            if not math.isfinite(value):
+                raise CsvParseError(line_no, f"column {name!r}: not finite: {part!r}")
+            values.append(value)
         visibility, wind, altitude = values
         if visibility <= 0:
             rejected.append(RejectedRow(line_no, "nonpositive visibility"))

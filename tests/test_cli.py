@@ -189,6 +189,42 @@ class TestLinkSweep:
         assert all(a >= b for a, b in zip(series, series[1:]))
 
 
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, float("nan"), float("inf"),
+                   float("-inf")]
+
+
+@st.composite
+def _column(draw, shape):
+    """One table column of ``shape``: floats, Python ints (an int64 array, or a
+    bare int for a scalar) or a numpy string array."""
+    size = int(np.prod(shape))
+    kind = draw(st.sampled_from(["float", "int", "str"]))
+    if kind == "float":
+        values = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                               min_size=size, max_size=size))
+        return np.array(values).reshape(shape)
+    if kind == "int":
+        values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
+        return values[0] if shape == () else np.array(values, dtype=np.int64).reshape(shape)
+    text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                   max_size=4)
+    return np.array(draw(st.lists(text, min_size=size, max_size=size)), dtype=str).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rows_equal_broadcast_then_str(data):
+    """Text made once per value and then broadcast reads as every value
+    broadcast first and then written with ``str``."""
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    shapes = data.draw(st.lists(st.sampled_from([(), (k,), (n, 1), (1, k), (n, k)]),
+                                min_size=1, max_size=5))
+    columns = [data.draw(_column(shape)) for shape in shapes]
+    reference = [",".join(map(str, row)) for row in zip(
+        *(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))]
+    assert list(map(",".join, cli._rows(*columns))) == reference
+
+
 class TestSynthData:
     def test_output_parses_and_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
@@ -804,6 +840,15 @@ class TestExitCodes:
         bad.write_text("station,date,hour,visibility_km,wind_speed_mps,altitude_m\n"
                        "A,not-a-date,8,1.0,1.0,1.0\n")
         assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+
+    def test_non_finite_visibility_is_parse_error(self, tmp_path, capsys):
+        """Refused while parsing, so a subsample that skips the row cannot hide it."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("station,date,hour,visibility_km,wind_speed_mps,altitude_m\n"
+                       + "A,2015-01-01,8,1.0,1.0,1.0\n" * 399 + "A,2015-01-02,8,nan,1.0,1.0\n")
+        assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: line 401: column 'visibility_km': not finite: 'nan'\n")
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "no_such_key = 1\n")

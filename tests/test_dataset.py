@@ -14,6 +14,7 @@ from foglink.atmosphere import (
     path_attenuation_db,
 )
 from foglink.dataset import (
+    CSV_HEADER,
     DEFAULT_STATION_PROFILES,
     CsvParseError,
     StationProfile,
@@ -76,6 +77,18 @@ class TestParse:
         with pytest.raises(CsvParseError, match="line 3") as err:
             parse_visibility_csv(text.splitlines())
         assert "visibility_km" in str(err.value)
+
+    @pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", [3, 4, 5], ids=["visibility", "wind", "altitude"])
+    def test_non_finite_number_identifies_line_and_column(self, column, spelling):
+        cells = ["A", "2015-01-01", "8", "2.0", "1.0", "10.0"]
+        cells[column] = spelling
+        text = ("station,date,hour,visibility_km,wind_speed_mps,altitude_m\n"
+                "A,2015-01-01,8,2.0,1.0,10.0\n" + ",".join(cells) + "\n")
+        name = CSV_HEADER.split(",")[column]
+        with pytest.raises(CsvParseError,
+                           match=f"^line 3: column '{name}': not finite: '{spelling}'$"):
+            parse_visibility_csv(text.splitlines())
 
     def test_wrong_column_count(self):
         text = ("station,date,hour,visibility_km,wind_speed_mps,altitude_m\n"
