@@ -408,12 +408,12 @@ def _load_records(path, seed: int, cfg: RunConfig):
     if rejected:
         print(f"{data_path}: skipped {len(rejected)} row(s), the first at line "
               f"{rejected[0].line_no} ({rejected[0].reason})", file=sys.stderr)
-    if not records:
+    if len(records) == 0:
         raise ValidationError("no usable visibility records")
     if cfg.sample_records > 0 and len(records) > cfg.sample_records:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(records), cfg.sample_records, replace=False))
-        records = [records[i] for i in keep]
+        records = records[keep]
     return records
 
 

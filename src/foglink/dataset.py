@@ -7,7 +7,8 @@ visibility drives the link physics.  A seeded lognormal generator stands in
 for archive data, and ``build_qos_table`` expands records against
 wavelength/power/modulation grids into the five-feature table (modulation,
 data rate, attenuation, power, wavelength) whose target is the dB SNR
-budget.
+budget.  The archive is one numpy record array (``visibility_records``)
+from the synthesizer and the parser to the writer and the table build.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import datetime
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,14 +57,20 @@ class CsvParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class VisibilityRecord:
-    station: str
-    date: datetime.date
-    hour: int
-    visibility_km: float
-    wind_speed_mps: float
-    altitude_m: float
+def visibility_records(station, date, hour, visibility_km, wind_speed_mps,
+                       altitude_m) -> np.recarray:
+    """The archive as a numpy record array, one record per observation, its
+    fields named as the CSV columns: ``station`` (a Python str per record,
+    so one long name costs its own length only), ``date``
+    (``datetime64[D]``), ``hour`` (int64) and the three float64 numbers.
+    ``len``, ``records[i].visibility_km``, ``records.station`` and
+    ``records[indices]`` work without any class code."""
+    return np.rec.fromarrays(
+        [np.asarray(station, dtype=object), np.asarray(date, dtype="datetime64[D]"),
+         np.asarray(hour, dtype=np.int64),
+         *(np.asarray(column, dtype=float)
+           for column in (visibility_km, wind_speed_mps, altitude_m))],
+        names=CSV_HEADER)
 
 
 @dataclass(frozen=True)
@@ -73,47 +81,134 @@ class RejectedRow:
 
 @dataclass
 class ParseResult:
-    records: list[VisibilityRecord]
+    records: np.recarray
     rejected: list[RejectedRow] = field(default_factory=list)
 
 
 def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
     """Parse the strict six-column schema.
 
-    Structural problems (wrong header, wrong column count, unparseable or
-    non-finite fields) raise :class:`CsvParseError` with the line number;
-    rows that are well-formed but carry nonpositive visibility are collected
-    in the rejected-row report instead.  Non-synoptic hours warn and pass
-    through.
+    Structural problems (wrong header, wrong column count, unparseable,
+    non-finite or out-of-int64-range fields) raise :class:`CsvParseError`
+    with the line number; rows that are well-formed but carry nonpositive
+    visibility are collected in the rejected-row report instead.
+    Non-synoptic hours warn and pass through.  The body is read column by
+    column; on any fault the line-at-a-time check reruns to name the first
+    bad line.
     """
-    records: list[VisibilityRecord] = []
-    rejected: list[RejectedRow] = []
-    line_no = 0
-    header_seen = False
-    for raw in lines:
-        line_no += 1
+    lines = list(lines)
+    if not lines:
+        raise CsvParseError(1, "empty input, header row required")
+    text = lines[0].rstrip("\n")
+    if text.strip() != CSV_HEADER:
+        raise CsvParseError(1, f"expected header {CSV_HEADER!r}, got {text!r}")
+    try:
+        records, rejected, odd_hours = _parse_columns(lines)
+    except (ValueError, OverflowError):
+        _check_lines(lines)
+        raise  # the column parse refused what the line check accepts
+    for line_no, hour in odd_hours:
+        _warn_hour(line_no, hour)
+    return ParseResult(records=records, rejected=rejected)
+
+
+_CHUNK_LINES = 4096
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+
+class _Memo(dict):
+    """``convert(key)`` for every key looked up, computed once per key."""
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _parse_columns(lines: list[str]):
+    """The records, the rejected rows and the (line, hour) pairs to warn
+    about of ``lines[1:]``.  Each chunk of lines is split into cells once
+    and converted a column at a time with the line check's own converters;
+    stations and dates are converted once per distinct cell.  Any fault
+    raises ``ValueError`` or ``OverflowError`` without naming a line."""
+    n = len(lines) - 1
+    names: list[str] = []
+
+    def station_code(cell: str) -> int:
+        name = cell.strip()
+        if not name:
+            raise ValueError("empty station")
+        names.append(name)
+        return len(names) - 1
+
+    stations = _Memo(station_code)
+    days = _Memo(lambda cell: datetime.date.fromisoformat(cell.strip()).toordinal())
+    codes, ordinals, hours = (np.empty(n, dtype=np.int64) for _ in range(3))
+    numbers = np.empty((3, n))
+    blank = np.zeros(n, dtype=bool)
+    rows = 0
+    for start in range(1, n + 1, _CHUNK_LINES):
+        block = lines[start:start + _CHUNK_LINES]
+        commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
+        if (commas != 5).any():  # blank lines are skipped, any other count is a fault
+            odd = np.flatnonzero(commas != 5)
+            if any(block[i].strip() for i in odd.tolist()):
+                raise ValueError("wrong column count")
+            blank[start - 1 + odd] = True
+            block = [block[i] for i in np.flatnonzero(commas == 5).tolist()]
+        m = len(block)
+        cells = ",".join(block).split(",")
+        end = rows + m
+        codes[rows:end] = np.fromiter(map(stations.__getitem__, cells[0::6]), np.int64, m)
+        ordinals[rows:end] = np.fromiter(map(days.__getitem__, cells[1::6]), np.int64, m)
+        hours[rows:end] = np.fromiter(map(int, cells[2::6]), np.int64, m)
+        for k in range(3):
+            numbers[k, rows:end] = np.fromiter(map(float, cells[3 + k::6]), float, m)
+        rows = end
+    numbers = numbers[:, :rows]
+    if not np.isfinite(numbers).all():
+        raise ValueError("non-finite number")
+    columns = [np.array(names, dtype=object)[codes[:rows]],
+               (ordinals[:rows] - _EPOCH_ORDINAL).astype("datetime64[D]"),
+               hours[:rows], *numbers]
+    line_nos = np.flatnonzero(~blank) + 2
+    refused = numbers[0] <= 0
+    rejected = [RejectedRow(line_no, "nonpositive visibility")
+                for line_no in line_nos[refused].tolist()]
+    if rejected:
+        columns = [column[~refused] for column in columns]
+        line_nos = line_nos[~refused]
+    odd = ~np.isin(columns[2], SYNOPTIC_HOURS)
+    return (visibility_records(*columns), rejected,
+            zip(line_nos[odd].tolist(), columns[2][odd].tolist()))
+
+
+def _check_lines(lines: list[str]) -> None:
+    """Check ``lines[1:]`` one line at a time: the first bad line raises
+    :class:`CsvParseError` naming it, after the warnings of the rows before
+    it."""
+    for line_no, raw in enumerate(lines[1:], start=2):
         text = raw.rstrip("\n")
-        if not header_seen:
-            if text.strip() != CSV_HEADER:
-                raise CsvParseError(line_no, f"expected header {CSV_HEADER!r}, got {text!r}")
-            header_seen = True
-            continue
         if not text.strip():
             continue
         parts = text.split(",")
         if len(parts) != 6:
             raise CsvParseError(line_no, f"expected 6 columns, got {len(parts)}")
-        station = parts[0].strip()
-        if not station:
+        if not parts[0].strip():
             raise CsvParseError(line_no, "column 'station' is empty")
         try:
-            date = datetime.date.fromisoformat(parts[1].strip())
+            datetime.date.fromisoformat(parts[1].strip())
         except ValueError as exc:
             raise CsvParseError(line_no, f"column 'date': {exc}") from exc
         try:
             hour = int(parts[2])
         except ValueError as exc:
             raise CsvParseError(line_no, f"column 'hour': not an integer: {parts[2]!r}") from exc
+        if not -2 ** 63 <= hour < 2 ** 63:
+            raise CsvParseError(line_no, f"column 'hour': out of range: {parts[2]!r}")
         values = []
         for name, part in zip(("visibility_km", "wind_speed_mps", "altitude_m"), parts[3:]):
             try:
@@ -123,62 +218,29 @@ def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
             if not math.isfinite(value):
                 raise CsvParseError(line_no, f"column {name!r}: not finite: {part!r}")
             values.append(value)
-        visibility, wind, altitude = values
-        if visibility <= 0:
-            rejected.append(RejectedRow(line_no, "nonpositive visibility"))
-            continue
-        if hour not in SYNOPTIC_HOURS:
-            warnings.warn(f"line {line_no}: non-synoptic observation hour {hour}")
-        records.append(VisibilityRecord(station, date, hour, visibility, wind, altitude))
-    if not header_seen:
-        raise CsvParseError(1, "empty input, header row required")
-    return ParseResult(records=records, rejected=rejected)
+        if values[0] > 0 and hour not in SYNOPTIC_HOURS:
+            _warn_hour(line_no, hour)
 
 
-def write_visibility_csv(records: Sequence[VisibilityRecord]) -> str:
-    out = [CSV_HEADER]
-    for r in records:
-        out.append(f"{r.station},{r.date.isoformat()},{r.hour},"
-                   f"{r.visibility_km!r},{r.wind_speed_mps!r},{r.altitude_m!r}")
-    return "\n".join(out) + "\n"
+def _warn_hour(line_no: int, hour: int) -> None:
+    """The one call site of the warning, so both parses show the same text."""
+    warnings.warn(f"line {line_no}: non-synoptic observation hour {hour}")
 
 
-@dataclass(frozen=True)
-class StationClimatology:
-    station: str
-    n_records: int
-    mean_visibility_km: float
-    # per-wavelength mean of the per-record extinction coefficients (km^-1);
-    # averaging happens after the nonlinear visibility->beta map, not before
-    mean_extinction_per_km: dict[float, float]
+def write_visibility_csv(records: np.recarray) -> str:
+    """The CSV text of ``records``, written a column at a time: floats as
+    their shortest round-trip ``repr``, dates in ISO form.  Stations, dates,
+    hours and altitudes repeat, so each distinct one is formatted once."""
+    def once(values: list) -> Iterable[str]:
+        text = {value: str(value) for value in set(values)}
+        return map(text.__getitem__, values)
 
-
-def aggregate_station_climatology(
-        records: Sequence[VisibilityRecord],
-        wavelengths_nm: Sequence[float] = TABLE_WAVELENGTHS_NM,
-        model: AttenuationModel = AttenuationModel.KRUSE,
-        reference_wavelength_nm: float = DEFAULT_REFERENCE_WAVELENGTH_NM,
-        stations: Optional[Sequence[str]] = None) -> dict[str, StationClimatology]:
-    """Mean visibility and mean extinction per station over all its records."""
-    grouped: dict[str, list[VisibilityRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.station, []).append(record)
-    wanted = list(stations) if stations is not None else sorted(grouped)
-    missing = [s for s in wanted if s not in grouped]
-    if missing:
-        raise ValueError(f"no records for station(s): {', '.join(missing)}")
-    lams = np.array(wavelengths_nm, dtype=float)
-    out = {}
-    for station in wanted:
-        rows = grouped[station]
-        visibilities = np.array([r.visibility_km for r in rows])
-        betas = extinction_coefficient(
-            OpticalPath(lams[:, None], 0.0, visibilities, reference_wavelength_nm), model)
-        out[station] = StationClimatology(
-            station=station, n_records=len(rows),
-            mean_visibility_km=float(visibilities.mean()),
-            mean_extinction_per_km=dict(zip(lams.tolist(), betas.mean(axis=1).tolist())))
-    return out
+    columns = (records.station.tolist(), *map(once, (records.date.tolist(),
+                                                       records.hour.tolist())),
+               *(map(repr, records[name].tolist())
+                 for name in ("visibility_km", "wind_speed_mps")),
+               once(records.altitude_m.tolist()))
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -213,26 +275,34 @@ DEFAULT_STATION_PROFILES = {
 def synthesize_dataset(station_profiles: Sequence[StationProfile], n_days: int,
                        seed: int,
                        start_date: datetime.date = datetime.date(2010, 1, 1)
-                       ) -> list[VisibilityRecord]:
-    """Seeded surrogate archive: three observations per day per station.
+                       ) -> np.recarray:
+    """Seeded surrogate archive: three observations per day per station,
+    station by station, day by day, hour by hour.
 
     Visibility is lognormal with the profile's mean (mu = ln(mean) -
-    sigma^2/2), so long runs average back to the profile mean.
+    sigma^2/2), so long runs average back to the profile mean.  Each record
+    draws one lognormal visibility, then one gamma wind speed.
     """
     if n_days < 1:
         raise ValueError(f"n_days must be positive, got {n_days}")
     rng = np.random.default_rng(seed)
-    records = []
+    per_station = n_days * len(SYNOPTIC_HOURS)
+    visibility = np.empty(len(station_profiles) * per_station)
+    wind = np.empty_like(visibility)
+    start = 0
     for profile in station_profiles:
         mu = np.log(profile.mean_visibility_km) - 0.5 * profile.sigma ** 2
-        for day in range(n_days):
-            date = start_date + datetime.timedelta(days=day)
-            for hour in SYNOPTIC_HOURS:
-                visibility = float(rng.lognormal(mu, profile.sigma))
-                wind = float(rng.gamma(2.0, profile.wind_mean_mps / 2.0))
-                records.append(VisibilityRecord(
-                    profile.name, date, hour, visibility, wind, profile.altitude_m))
-    return records
+        scale = profile.wind_mean_mps / 2.0
+        for k in range(start, start + per_station):
+            visibility[k] = rng.lognormal(mu, profile.sigma)
+            wind[k] = rng.gamma(2.0, scale)
+        start += per_station
+    dates = np.datetime64(start_date, "D") + np.arange(n_days).repeat(len(SYNOPTIC_HOURS))
+    return visibility_records(
+        np.repeat(np.array([p.name for p in station_profiles], dtype=object), per_station),
+        np.tile(dates, len(station_profiles)),
+        np.tile(SYNOPTIC_HOURS, n_days * len(station_profiles)), visibility, wind,
+        np.repeat([p.altitude_m for p in station_profiles], per_station))
 
 
 @dataclass(frozen=True)
@@ -262,7 +332,7 @@ class QosDataset:
         return QosDataset(self.table.subset(indices), self.stations[np.asarray(indices)])
 
 
-def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep,
+def build_qos_table(records: np.recarray, sweep: TransceiverSweep,
                     noise: ReceiverNoiseConfig, budget: RfBudgetInputs) -> QosDataset:
     """Cartesian expansion records x wavelengths x powers x modulations.
 
@@ -271,10 +341,10 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
     attenuation term; the budget template's power, wavelength and attenuation
     entries are overridden per row, everything else is taken as given.
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("need at least one visibility record")
     # grid axes: record x wavelength x power
-    visibility = np.array([r.visibility_km for r in records])[:, None, None]
+    visibility = records.visibility_km[:, None, None]
     lam = np.array(sweep.wavelengths_nm, dtype=float)[:, None]
     power = np.array(sweep.tx_powers_w, dtype=float)
     path = OpticalPath(lam, sweep.range_km, visibility, sweep.reference_wavelength_nm)
@@ -292,7 +362,6 @@ def build_qos_table(records: Sequence[VisibilityRecord], sweep: TransceiverSweep
     modulations = np.array(list(OokScheme), dtype=float)
     features = np.column_stack([np.tile(modulations, len(cells)),
                                 np.repeat(cells, len(modulations), axis=0)])
-    stations = np.repeat(np.array([r.station for r in records]),
-                         len(features) // len(records))
+    stations = np.repeat(records.station, len(features) // len(records))
     return QosDataset(LabeledTable(features, np.repeat(snr_db.ravel(), len(modulations)),
                                    QOS_FEATURE_NAMES), stations)

@@ -123,18 +123,9 @@ def db_to_linear(db: float) -> float:
     return np.power(10.0, db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    _reject(x <= 0, "cannot take dB of nonpositive value {}", x)
-    return 10.0 * np.log10(x)
-
-
 def watts_to_dbm(p_w: float) -> float:
     _reject(p_w <= 0, "cannot take dBm of nonpositive power {}", p_w)
     return 10.0 * np.log10(p_w * 1e3)
-
-
-def dbm_to_watts(p_dbm: float) -> float:
-    return np.power(10.0, p_dbm / 10.0) * 1e-3
 
 
 def photon_energy(wavelength_nm: float) -> float:

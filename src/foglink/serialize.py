@@ -8,13 +8,16 @@ node lists (``feature``, ``threshold``, ``left``, ``right``, ``value``, as in
 ``tree.RegressionTree``), networks row-major weight matrices with their
 input standardisation.  Stacked models embed their members' models whole.
 Dumps are compact and key-sorted, so identical models serialise to
-identical bytes.  Loading refuses non-finite numbers, ignores keys it does
-not read, and checks that every walk down a tree ends at a leaf.
+identical bytes.  Loading refuses non-finite numbers (``1e400`` included)
+and integers beyond the float range, ignores keys it does not read, and
+checks that every walk down a tree ends at a leaf.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 from typing import Any, Union
 
@@ -96,6 +99,8 @@ def model_to_dict(model: AnyModel) -> dict:
 
 
 def model_from_dict(d: dict) -> AnyModel:
+    if not isinstance(d, dict):
+        raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     kind = d.get("model")
     names = tuple(d["feature_names"]) if d.get("feature_names") is not None else None
     if kind == "regression_tree":
@@ -142,15 +147,31 @@ def _non_finite(literal: str):
     raise ValueError(f"non-finite number {literal}")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value
+
+
+def _float_range_int(literal: str) -> int:
+    value = int(literal)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(literal.lstrip('-'))} digits is out of the float range")
+    return value
+
+
 def load_model(path: Union[str, Path]) -> AnyModel:
-    """Read a model file; a missing, ill-typed, non-finite or invalid field
+    """Read a model file; a missing, ill-typed, non-finite or invalid field,
+    an integer beyond the float range, or a file that is not a JSON object
     is a ValueError naming the file."""
     try:
-        return model_from_dict(json.loads(Path(path).read_text(),
-                                          parse_constant=_non_finite))
+        return model_from_dict(json.loads(
+            Path(path).read_text(), parse_constant=_non_finite,
+            parse_float=_finite_float, parse_int=_float_range_int))
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"model file {path}: malformed field ({exc})") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path}: {exc}") from exc

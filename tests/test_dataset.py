@@ -1,6 +1,7 @@
 import datetime
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from foglink.atmosphere import (
 from foglink.dataset import (
     CSV_HEADER,
     DEFAULT_STATION_PROFILES,
+    SYNOPTIC_HOURS,
     CsvParseError,
+    RejectedRow,
     StationProfile,
     TransceiverSweep,
-    VisibilityRecord,
-    aggregate_station_climatology,
     build_qos_table,
     parse_visibility_csv,
     synthesize_dataset,
+    visibility_records,
     write_visibility_csv,
 )
 from foglink.link_budget import (
@@ -39,17 +41,21 @@ from foglink.link_budget import (
 from foglink.tables import split_indices
 
 
-def record(station="Test", visibility=2.0, hour=8, day=1):
-    return VisibilityRecord(station, datetime.date(2015, 1, day), hour,
-                            visibility, 3.0, 100.0)
+def records(visibilities, stations=None, hours=None):
+    """One record per visibility, on consecutive days from 2015-01-01."""
+    n = len(visibilities)
+    return visibility_records(stations or ["Test"] * n,
+                              np.datetime64("2015-01-01") + np.arange(n),
+                              hours or [8] * n, visibilities, [3.0] * n, [100.0] * n)
 
 
 class TestParse:
     def test_round_trip_three_rows(self):
-        records = [record(day=1), record(day=2, visibility=3.5), record(day=3, hour=20)]
-        text = write_visibility_csv(records)
+        written = records([2.0, 3.5, 2.0], hours=[8, 8, 20])
+        text = write_visibility_csv(written)
         result = parse_visibility_csv(text.splitlines())
-        assert result.records == records
+        assert result.records.tolist() == written.tolist()
+        assert result.records.dtype == written.dtype
         assert write_visibility_csv(result.records) == text
 
     def test_nonpositive_visibility_rejected_with_reason(self):
@@ -105,27 +111,220 @@ class TestParse:
             parse_visibility_csv([])
 
 
-class TestClimatology:
-    def test_single_record_mean(self):
-        out = aggregate_station_climatology([record(visibility=2.0)])
-        assert out["Test"].mean_visibility_km == 2.0
-        assert out["Test"].n_records == 1
+@dataclass(frozen=True)
+class ReferenceRecord:
+    station: str
+    date: datetime.date
+    hour: int
+    visibility_km: float
+    wind_speed_mps: float
+    altitude_m: float
 
-    def test_extinction_averaged_per_record_not_at_mean_visibility(self):
-        records = [record(visibility=1.0), record(visibility=3.0)]
-        out = aggregate_station_climatology(records, wavelengths_nm=(1550.0,))
-        clim = out["Test"]
-        assert clim.mean_visibility_km == pytest.approx(2.0)
-        betas = [extinction_coefficient(OpticalPath(1550.0, 0.0, v), AttenuationModel.KRUSE)
-                 for v in (1.0, 3.0)]
-        expected = sum(betas) / 2.0
-        at_mean = extinction_coefficient(OpticalPath(1550.0, 0.0, 2.0), AttenuationModel.KRUSE)
-        assert clim.mean_extinction_per_km[1550.0] == pytest.approx(expected, rel=1e-12)
-        assert clim.mean_extinction_per_km[1550.0] != pytest.approx(at_mean, rel=1e-3)
 
-    def test_absent_station_is_an_error(self):
-        with pytest.raises(ValueError, match="Nowhere"):
-            aggregate_station_climatology([record()], stations=["Nowhere"])
+def reference_parse(lines):
+    """The list-of-records line loop the columnar parse replaced, kept as
+    its reference: (records, rejected rows); warns as it goes."""
+    records, rejected = [], []
+    line_no = 0
+    header_seen = False
+    for raw in lines:
+        line_no += 1
+        text = raw.rstrip("\n")
+        if not header_seen:
+            if text.strip() != CSV_HEADER:
+                raise CsvParseError(line_no, f"expected header {CSV_HEADER!r}, got {text!r}")
+            header_seen = True
+            continue
+        if not text.strip():
+            continue
+        parts = text.split(",")
+        if len(parts) != 6:
+            raise CsvParseError(line_no, f"expected 6 columns, got {len(parts)}")
+        station = parts[0].strip()
+        if not station:
+            raise CsvParseError(line_no, "column 'station' is empty")
+        try:
+            date = datetime.date.fromisoformat(parts[1].strip())
+        except ValueError as exc:
+            raise CsvParseError(line_no, f"column 'date': {exc}") from exc
+        try:
+            hour = int(parts[2])
+        except ValueError as exc:
+            raise CsvParseError(line_no, f"column 'hour': not an integer: {parts[2]!r}") from exc
+        values = []
+        for name, part in zip(("visibility_km", "wind_speed_mps", "altitude_m"), parts[3:]):
+            try:
+                value = float(part)
+            except ValueError as exc:
+                raise CsvParseError(line_no, f"column {name!r}: not a number: {part!r}") from exc
+            if not math.isfinite(value):
+                raise CsvParseError(line_no, f"column {name!r}: not finite: {part!r}")
+            values.append(value)
+        visibility, wind, altitude = values
+        if visibility <= 0:
+            rejected.append(RejectedRow(line_no, "nonpositive visibility"))
+            continue
+        if hour not in SYNOPTIC_HOURS:
+            warnings.warn(f"line {line_no}: non-synoptic observation hour {hour}")
+        records.append(ReferenceRecord(station, date, hour, visibility, wind, altitude))
+    if not header_seen:
+        raise CsvParseError(1, "empty input, header row required")
+    return records, rejected
+
+
+def reference_synthesize(station_profiles, n_days, seed,
+                         start_date=datetime.date(2010, 1, 1)):
+    """The per-record synthesizer the columnar one replaced."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for profile in station_profiles:
+        mu = np.log(profile.mean_visibility_km) - 0.5 * profile.sigma ** 2
+        for day in range(n_days):
+            date = start_date + datetime.timedelta(days=day)
+            for hour in SYNOPTIC_HOURS:
+                visibility = float(rng.lognormal(mu, profile.sigma))
+                wind = float(rng.gamma(2.0, profile.wind_mean_mps / 2.0))
+                out.append(ReferenceRecord(profile.name, date, hour, visibility, wind,
+                                           profile.altitude_m))
+    return out
+
+
+def reference_write(records):
+    out = [CSV_HEADER]
+    for r in records:
+        out.append(f"{r.station},{r.date.isoformat()},{r.hour},"
+                   f"{r.visibility_km!r},{r.wind_speed_mps!r},{r.altitude_m!r}")
+    return "\n".join(out) + "\n"
+
+
+def run(parse, lines):
+    """What ``parse`` gives for ``lines``: its value or its exception's type
+    and text, and every warning message in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = parse(lines)
+        except Exception as exc:
+            value = (type(exc), str(exc))
+    return value, [str(w.message) for w in caught]
+
+
+def as_tuples(records):
+    return [(r.station, r.date, r.hour, r.visibility_km, r.wind_speed_mps, r.altitude_m)
+            for r in records]
+
+
+# Cells the reference accepts, in the spellings float(), int() and
+# date.fromisoformat() take.
+GOOD_CELLS = (
+    st.sampled_from(["A", " B ", "Ké", "A B", "\tC", "D\x00"]),
+    st.one_of(st.dates().map(datetime.date.isoformat),
+              st.sampled_from([" 2015-01-02 ", "0999-12-31", "2016-02-29"])),
+    st.one_of(st.sampled_from(["8", "14", "20", "+8", "0_8", " 14 ", "-3", "11", "٨"]),
+              st.integers(-2 ** 63, 2 ** 63 - 1).map(str)),
+    *[st.one_of(st.sampled_from(["1_0", " 1.5 ", "2.", ".5", "-0.0", "0", "-2", "1e-400",
+                                 "1E3", "１２"]),
+                st.floats(allow_nan=False, allow_infinity=False).map(repr))] * 3,
+)
+BAD_CELLS = (
+    st.sampled_from(["", "   "]),
+    st.sampled_from(["2015-1-1", "20150103", "2015-W01-1", "2015-02-30", "x", "",
+                     "2015-01-01T00", "2015-001"]),
+    st.sampled_from(["8.0", "x", "", "1__0", "0x8"]),
+    *[st.sampled_from(["nan", "inf", "-inf", "1e400", "x", "", "1__0", "0x1"])] * 3,
+)
+
+
+@st.composite
+def archive_lines(draw):
+    """A header and up to 12 lines: blank, good rows, and at most one row
+    with a refused cell, a missing cell or an extra one; any line may keep
+    its newline."""
+    lines = [CSV_HEADER]
+    bad_at = draw(st.integers(-1, 11))
+    for k in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        else:
+            cells = [draw(strategy) for strategy in GOOD_CELLS]
+            if k == bad_at:
+                fault = draw(st.sampled_from(["cell", "short", "long"]))
+                if fault == "cell":
+                    column = draw(st.integers(0, 5))
+                    cells[column] = draw(BAD_CELLS[column])
+                elif fault == "short":
+                    cells = cells[:draw(st.integers(1, 5))]
+                else:
+                    cells.append(draw(GOOD_CELLS[3]))
+            line = ",".join(cells)
+        lines.append(line + draw(st.sampled_from(["", "\n"])))
+    return lines
+
+
+class TestColumnarParse:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=archive_lines())
+    def test_equals_line_loop(self, lines):
+        got, got_warnings = run(parse_visibility_csv, lines)
+        want, want_warnings = run(reference_parse, lines)
+        assert got_warnings == want_warnings
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        assert got.records.tolist() == as_tuples(want[0])
+        assert got.rejected == want[1]
+
+    def test_fault_in_a_later_chunk_names_its_line(self):
+        """Blank lines, rejected rows and warnings across several chunks,
+        then a bad cell: the same warnings, then the same error."""
+        rows = reference_write(reference_synthesize(
+            [DEFAULT_STATION_PROFILES["George"]], 3000, seed=5)).splitlines()
+        rows[100] = ""
+        cells = rows[5000].split(",")
+        rows[5000] = ",".join(cells[:2] + ["9"] + cells[3:])
+        rows[7000] = "   "
+        rows[8000] = rows[8000].split(",", 3)[0] + ",2015-01-01,11,-1.0,1.0,1.0"
+        good = run(parse_visibility_csv, rows)
+        want = run(reference_parse, rows)
+        assert good[1] == want[1] == ["line 5001: non-synoptic observation hour 9"]
+        assert good[0].records.tolist() == as_tuples(want[0][0])
+        assert good[0].rejected == want[0][1] == [RejectedRow(8001, "nonpositive visibility")]
+        cells = rows[8500].split(",")
+        rows[8500] = ",".join(cells[:2] + ["x"] + cells[3:])
+        assert run(parse_visibility_csv, rows) == run(reference_parse, rows) == (
+            (CsvParseError, "line 8501: column 'hour': not an integer: 'x'"),
+            ["line 5001: non-synoptic observation hour 9"])
+
+    def test_hour_outside_int64_is_refused(self):
+        """The one rule the line loop lacked: the hour column is int64."""
+        lines = [CSV_HEADER, "A,2015-01-01,8,2.0,1.0,10.0",
+                 "A,2015-01-01,9223372036854775808,2.0,1.0,10.0"]
+        with pytest.raises(CsvParseError,
+                           match="^line 3: column 'hour': out of range: '9223372036854775808'$"):
+            parse_visibility_csv(lines)
+
+    @pytest.mark.parametrize("seed, stations", [
+        (0, ["George"]), (7, ["Polokwane", "Kimberley"]), (11, list(DEFAULT_STATION_PROFILES))])
+    def test_synthesize_and_write_equal_per_record_loop(self, seed, stations):
+        profiles = [DEFAULT_STATION_PROFILES[name] for name in stations]
+        archive = synthesize_dataset(profiles, 40, seed)
+        reference = reference_synthesize(profiles, 40, seed)
+        assert archive.tolist() == as_tuples(reference)
+        text = write_visibility_csv(archive)
+        assert text == reference_write(reference)
+        assert write_visibility_csv(parse_visibility_csv(text.splitlines()).records) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=["Zs"]),
+                min_size=1, max_size=5),
+        st.dates(), st.integers(-2 ** 63, 2 ** 63 - 1),
+        *[st.floats(allow_nan=False, allow_infinity=False)] * 3), max_size=8))
+    def test_write_equals_per_record_writer(self, rows):
+        reference = [ReferenceRecord(*row) for row in rows]
+        archive = visibility_records(*(zip(*rows) if rows else [[]] * 6))
+        assert write_visibility_csv(archive) == reference_write(reference)
 
 
 class TestSynthesize:
@@ -137,8 +336,9 @@ class TestSynthesize:
 
     def test_deterministic(self):
         profiles = [DEFAULT_STATION_PROFILES["George"]]
-        assert synthesize_dataset(profiles, 5, seed=3) == synthesize_dataset(profiles, 5, seed=3)
-        assert synthesize_dataset(profiles, 5, seed=3) != synthesize_dataset(profiles, 5, seed=4)
+        first = synthesize_dataset(profiles, 5, seed=3).tolist()
+        assert synthesize_dataset(profiles, 5, seed=3).tolist() == first
+        assert synthesize_dataset(profiles, 5, seed=4).tolist() != first
 
     def test_visibility_always_positive(self):
         records = synthesize_dataset([StationProfile("X", 0.5, 1.0)], 200, seed=1)
@@ -159,8 +359,7 @@ BUDGET = RfBudgetInputs(tx_power_dbm=20.0)
 
 class TestBuildQosTable:
     def test_row_count_formula(self):
-        records = [record(day=d + 1, visibility=1.0 + d) for d in range(3)]
-        qos = build_qos_table(records, SWEEP, NOISE, BUDGET)
+        qos = build_qos_table(records([1.0, 2.0, 3.0]), SWEEP, NOISE, BUDGET)
         assert qos.table.n_rows == 3 * 2 * 2 * 2
         assert qos.table.feature_names == (
             "modulation", "data_rate_bps", "attenuation_db_per_km",
@@ -170,13 +369,12 @@ class TestBuildQosTable:
     def test_single_record_single_cell_gives_two_rows(self):
         sweep = TransceiverSweep(base=TransceiverConfig(), wavelengths_nm=(1550.0,),
                                  tx_powers_w=(0.1,), range_km=1.0)
-        qos = build_qos_table([record()], sweep, NOISE, BUDGET)
+        qos = build_qos_table(records([2.0]), sweep, NOISE, BUDGET)
         assert qos.table.n_rows == 2
         assert sorted(qos.table.features[:, 0]) == [0.0, 1.0]
 
     def test_target_reproduces_budget_recomputation(self):
-        records = [record(visibility=0.9), record(day=2, visibility=4.0)]
-        qos = build_qos_table(records, SWEEP, NOISE, BUDGET)
+        qos = build_qos_table(records([0.9, 4.0]), SWEEP, NOISE, BUDGET)
         X, y = qos.table.features, qos.table.targets
         for i in range(qos.table.n_rows):
             atten_db_km, power, lam = X[i, 2], X[i, 3], X[i, 4]
@@ -187,7 +385,7 @@ class TestBuildQosTable:
             assert y[i] == pytest.approx(recomputed, rel=1e-12)
 
     def test_attenuation_constant_across_modulations(self):
-        qos = build_qos_table([record()], SWEEP, NOISE, BUDGET)
+        qos = build_qos_table(records([2.0]), SWEEP, NOISE, BUDGET)
         X = qos.table.features
         for i in range(0, qos.table.n_rows, 2):
             assert X[i, 2] == X[i + 1, 2]
@@ -204,15 +402,14 @@ class TestBuildQosTable:
     def test_rows_equal_scalar_physics_and_closed_form(self, visibilities, wavelengths,
                                                        powers, range_km, model, gains,
                                                        margins):
-        records = [record(station=f"S{k}", visibility=v, day=k + 1)
-                   for k, v in enumerate(visibilities)]
+        archive = records(visibilities, stations=[f"S{k}" for k in range(len(visibilities))])
         sweep = TransceiverSweep(base=TransceiverConfig(), wavelengths_nm=tuple(wavelengths),
                                  tx_powers_w=tuple(powers), range_km=range_km,
                                  attenuation_model=model)
         (g_tx, g_rx), (noise_figure, fade) = gains, margins
         budget = RfBudgetInputs(tx_power_dbm=20.0, tx_gain_linear=g_tx, rx_gain_linear=g_rx,
                                 noise_figure_db=noise_figure, fade_margin_db=fade)
-        qos = build_qos_table(records, sweep, NOISE, budget)
+        qos = build_qos_table(archive, sweep, NOISE, budget)
         X, y = qos.table.features, qos.table.targets
         # independent reference: the budget with P_tx in W and lambda in nm pulled out
         c = (-20.0 * math.log10(4.0 * math.pi) - 180.0
@@ -220,7 +417,7 @@ class TestBuildQosTable:
                                  * BOLTZMANN_J_PER_K)
              + 10.0 * math.log10(g_rx / g_tx) - noise_figure - fade)
         i = 0
-        for rec in records:  # rows run record-major, then wavelength, power, modulation
+        for rec in archive:  # rows run record-major, then wavelength, power, modulation
             for lam in wavelengths:
                 path = OpticalPath(lam, range_km, rec.visibility_km)
                 atten = attenuation_db_per_km(path, model)
@@ -244,7 +441,7 @@ class TestBuildQosTable:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            build_qos_table([], SWEEP, NOISE, BUDGET)
+            build_qos_table(records([]), SWEEP, NOISE, BUDGET)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,7 @@ from foglink.link_budget import (
     ber,
     channel_capacity,
     db_to_linear,
-    dbm_to_watts,
     electrical_snr_linear,
-    linear_to_db,
     photon_energy,
     power_penalty_db,
     received_power_aperture,
@@ -399,18 +397,14 @@ class TestConfigValidation:
 class TestDbConversions:
     @given(st.floats(min_value=-100.0, max_value=100.0))
     def test_db_round_trip(self, db):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, rel=1e-12, abs=1e-12)
+        assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, rel=1e-12, abs=1e-12)
 
     @given(st.floats(min_value=1e-12, max_value=1e6))
     def test_dbm_round_trip(self, watts):
-        assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
+        assert 10.0 ** (watts_to_dbm(watts) / 10.0) * 1e-3 == pytest.approx(watts, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            linear_to_db(0.0)
-        with pytest.raises(ValueError):
             watts_to_dbm(-1.0)
-        with pytest.raises(ValueError):
-            linear_to_db(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             watts_to_dbm(np.array([[0.1], [-1.0]]))

@@ -230,3 +230,68 @@ def test_ill_typed_field_is_value_error(tmp_path, data):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"tree\.json: malformed field"):
         load_model(path)
+
+
+SENTINEL = 12345.678
+# one fit per saved model kind, and where its file holds a float that predict reads
+KIND_FIELDS = {
+    "tree": (lambda d: fit_regression_tree(d, 2), lambda p: p["threshold"]),
+    "forest": (lambda d: fit_random_forest(d, 3, 2, 3, seed=1),
+               lambda p: p["trees"][0]["value"]),
+    "gbr": (lambda d: fit_gradient_boost(d, 3, 0.1, 2), None),
+    "adbr": (lambda d: fit_adaboost_r2(d, 3, 2), lambda p: p["alphas"]),
+    "stacked": (lambda d: fit_stacked(d, StackConfig(
+        (LearnerSpec("tree", {"min_leaf_size": 2}),
+         LearnerSpec("forest", {"n_trees": 3, "min_leaf_size": 3})), n_folds=2, seed=2)),
+        lambda p: p["weights"]),
+    "mlp": (lambda d: MLPModel.initialize((3, 4, 1), seed=3), lambda p: p["x_std"]),
+}
+
+
+def predict_exit(tmp_path, text, capsys):
+    """``predict``'s exit code and stderr for a model file holding ``text``."""
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    features = tmp_path / "features.csv"
+    features.write_text("a,b,c\n0.1,0.2,0.3\n")
+    out = tmp_path / "pred.csv"
+    code = main(["predict", "--model", str(path), "--features", str(features),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    return code, err, path
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1e400", "non-finite number 1e400"),
+    ("-1e400", "non-finite number -1e400"),
+    ("1" + "0" * 400, "integer of 401 digits is out of the float range"),
+    ("-1" + "0" * 400, "integer of 401 digits is out of the float range")],
+    ids=["1e400", "-1e400", "400-digit-int", "-400-digit-int"])
+@pytest.mark.parametrize("kind", list(KIND_FIELDS))
+def test_out_of_range_number_is_refused(tmp_path, capsys, data, kind, literal, message):
+    """A number that parses to no finite float exits 3 naming the file,
+    where it loaded as inf (so gbr wrote nan) or overflowed in float()."""
+    fit, field = KIND_FIELDS[kind]
+    payload = model_to_dict(fit(data))
+    if field is None:
+        payload["learning_rate"] = SENTINEL
+    else:
+        field(payload)[0] = SENTINEL
+    text = json.dumps(payload).replace(repr(SENTINEL), literal)
+    code, err, path = predict_exit(tmp_path, text, capsys)
+    assert code == EXIT_VALIDATION
+    assert f"validation error: model file {path}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["file", "stack member"])
+def test_model_that_is_not_an_object_is_refused(tmp_path, capsys, data, where):
+    payload = [1, 2]
+    if where == "stack member":
+        payload = model_to_dict(KIND_FIELDS["stacked"][0](data))
+        payload["base_models"][0] = [1, 2]
+    code, err, path = predict_exit(tmp_path, json.dumps(payload), capsys)
+    assert code == EXIT_VALIDATION
+    assert f"model file {path}: a model must be a JSON object, got list" in err
+    assert "Traceback" not in err
