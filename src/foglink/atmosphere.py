@@ -21,7 +21,6 @@ import numpy as np
 
 DEFAULT_REFERENCE_WAVELENGTH_NM = 550.0
 DEFAULT_TRANSMITTANCE_THRESHOLD = 0.02
-AIRPORT_TRANSMITTANCE_THRESHOLD = 0.05
 
 DB_PER_NEPER = 10.0 * np.log10(np.e)  # 4.3429... dB per unit of beta*L
 

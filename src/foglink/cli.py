@@ -70,7 +70,6 @@ from .stacking import LearnerSpec, StackConfig, StackingError, fit_base_learner,
 from .tables import split_indices
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_PARSE = 4
 EXIT_TRAINING = 5
@@ -401,10 +400,15 @@ def cmd_synth_data(args) -> int:
 
 def _load_records(path, seed: int, cfg: RunConfig):
     """The records of the visibility CSV at ``path``, subsampled with
-    ``seed``; skipped rows are reported on stderr."""
+    ``seed``; rows at a non-synoptic hour and skipped rows are reported on
+    stderr."""
     data_path = _input_file(path, "data file")
     result = parse_visibility_csv(data_path.read_text().splitlines())
     records, rejected = result.records, result.rejected
+    if result.odd_hours:
+        line_no, hour = result.odd_hours[0]
+        print(f"{data_path}: {len(result.odd_hours)} row(s) at a non-synoptic hour, "
+              f"the first at line {line_no} (hour {hour})", file=sys.stderr)
     if rejected:
         print(f"{data_path}: skipped {len(rejected)} row(s), the first at line "
               f"{rejected[0].line_no} ({rejected[0].reason})", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 The CSV schema is ``station,date,hour,visibility_km,wind_speed_mps,
 altitude_m`` with synoptic observation hours 8, 14 and 20 (others are
-accepted with a warning).  Wind speed and altitude ride along unused; only
+accepted and reported).  Wind speed and altitude ride along unused; only
 visibility drives the link physics.  A seeded lognormal generator stands in
 for archive data, and ``build_qos_table`` expands records against
 wavelength/power/modulation grids into the five-feature table (modulation,
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import datetime
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from functools import cache
+from itertools import count, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,114 +83,100 @@ class RejectedRow:
 class ParseResult:
     records: np.recarray
     rejected: list[RejectedRow] = field(default_factory=list)
+    odd_hours: list[tuple[int, int]] = field(default_factory=list)  # (line, hour)
 
 
 def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
-    """Parse the strict six-column schema.
+    """Parse the strict six-column schema in one pass over ``lines``.
 
     Structural problems (wrong header, wrong column count, unparseable,
-    non-finite or out-of-int64-range fields) raise :class:`CsvParseError`
-    with the line number; rows that are well-formed but carry nonpositive
-    visibility are collected in the rejected-row report instead.
-    Non-synoptic hours warn and pass through.  The body is read column by
-    column; on any fault the line-at-a-time check reruns to name the first
-    bad line.
+    non-finite or out-of-int64-range fields, a date not spelled
+    ``YYYY-MM-DD``) raise :class:`CsvParseError` with the line number; rows
+    that are well-formed but carry nonpositive visibility are collected in
+    the rejected-row report instead, and rows at a non-synoptic hour are
+    kept and listed in ``odd_hours``.  The body is read in chunks, each a
+    column at a time; on a fault the chunk is checked again line by line to
+    name its first bad line.
     """
-    lines = list(lines)
-    if not lines:
+    lines = iter(lines)
+    text = next(lines, None)
+    if text is None:
         raise CsvParseError(1, "empty input, header row required")
-    text = lines[0].rstrip("\n")
+    text = text.rstrip("\n")
     if text.strip() != CSV_HEADER:
         raise CsvParseError(1, f"expected header {CSV_HEADER!r}, got {text!r}")
-    try:
-        records, rejected, odd_hours = _parse_columns(lines)
-    except (ValueError, OverflowError):
-        _check_lines(lines)
-        raise  # the column parse refused what the line check accepts
-    for line_no, hour in odd_hours:
-        _warn_hour(line_no, hour)
-    return ParseResult(records=records, rejected=rejected)
+    station = cache(_station)
+    day = cache(lambda cell: _day(cell).toordinal() - _EPOCH_ORDINAL)
+    chunks = []
+    for first in count(2, _CHUNK_LINES):
+        block = list(islice(lines, _CHUNK_LINES))
+        try:
+            offsets, columns = _chunk_columns(block, station, day)
+        except (ValueError, OverflowError):
+            _check_lines(block, first)
+            raise  # the column parse refused what the line check accepts
+        chunks.append([offsets + first, *columns])
+        if len(block) < _CHUNK_LINES:
+            break
+    line_nos, *columns = [np.concatenate(column) for column in zip(*chunks)]
+    refused = columns[3] <= 0
+    rejected = [RejectedRow(line_no, "nonpositive visibility")
+                for line_no in line_nos[refused].tolist()]
+    if rejected:
+        line_nos, *columns = [column[~refused] for column in (line_nos, *columns)]
+    odd = ~np.isin(columns[2], SYNOPTIC_HOURS)
+    return ParseResult(visibility_records(*columns), rejected,
+                       list(zip(line_nos[odd].tolist(), columns[2][odd].tolist())))
 
 
 _CHUNK_LINES = 4096
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
-class _Memo(dict):
-    """``convert(key)`` for every key looked up, computed once per key."""
-
-    def __init__(self, convert) -> None:
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
+def _station(cell: str) -> str:
+    name = cell.strip()
+    if not name:
+        raise ValueError("empty station")
+    return name
 
 
-def _parse_columns(lines: list[str]):
-    """The records, the rejected rows and the (line, hour) pairs to warn
-    about of ``lines[1:]``.  Each chunk of lines is split into cells once
-    and converted a column at a time with the line check's own converters;
-    stations and dates are converted once per distinct cell.  Any fault
-    raises ``ValueError`` or ``OverflowError`` without naming a line."""
-    n = len(lines) - 1
-    names: list[str] = []
+def _day(cell: str) -> datetime.date:
+    """The date of a ``YYYY-MM-DD`` cell, padding allowed.  Any other
+    spelling is refused with Python 3.10's ``date.fromisoformat`` text,
+    since later versions also take ISO week and basic forms."""
+    text = cell.strip()
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
 
-    def station_code(cell: str) -> int:
-        name = cell.strip()
-        if not name:
-            raise ValueError("empty station")
-        names.append(name)
-        return len(names) - 1
 
-    stations = _Memo(station_code)
-    days = _Memo(lambda cell: datetime.date.fromisoformat(cell.strip()).toordinal())
-    codes, ordinals, hours = (np.empty(n, dtype=np.int64) for _ in range(3))
-    numbers = np.empty((3, n))
-    blank = np.zeros(n, dtype=bool)
-    rows = 0
-    for start in range(1, n + 1, _CHUNK_LINES):
-        block = lines[start:start + _CHUNK_LINES]
-        commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
-        if (commas != 5).any():  # blank lines are skipped, any other count is a fault
-            odd = np.flatnonzero(commas != 5)
-            if any(block[i].strip() for i in odd.tolist()):
-                raise ValueError("wrong column count")
-            blank[start - 1 + odd] = True
-            block = [block[i] for i in np.flatnonzero(commas == 5).tolist()]
-        m = len(block)
-        cells = ",".join(block).split(",")
-        end = rows + m
-        codes[rows:end] = np.fromiter(map(stations.__getitem__, cells[0::6]), np.int64, m)
-        ordinals[rows:end] = np.fromiter(map(days.__getitem__, cells[1::6]), np.int64, m)
-        hours[rows:end] = np.fromiter(map(int, cells[2::6]), np.int64, m)
-        for k in range(3):
-            numbers[k, rows:end] = np.fromiter(map(float, cells[3 + k::6]), float, m)
-        rows = end
-    numbers = numbers[:, :rows]
-    if not np.isfinite(numbers).all():
+def _chunk_columns(block: list[str], station, day):
+    """The offsets in ``block`` of its non-blank lines and their six columns
+    (station, date, hour and the three numbers).  The block is split into
+    cells once and converted a column at a time; ``station`` and ``day``
+    convert one cell.  Any fault raises ``ValueError`` or ``OverflowError``
+    without naming a line."""
+    commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
+    offsets = np.flatnonzero(commas == 5)
+    if len(offsets) < len(block):  # blank lines are skipped, any other count is a fault
+        if any(block[i].strip() for i in np.flatnonzero(commas != 5).tolist()):
+            raise ValueError("wrong column count")
+        block = [block[i] for i in offsets.tolist()]
+    m = len(block)
+    cells = ",".join(block).split(",")
+    numbers = [np.fromiter(map(float, cells[k::6]), float, m) for k in (3, 4, 5)]
+    if not all(np.isfinite(column).all() for column in numbers):
         raise ValueError("non-finite number")
-    columns = [np.array(names, dtype=object)[codes[:rows]],
-               (ordinals[:rows] - _EPOCH_ORDINAL).astype("datetime64[D]"),
-               hours[:rows], *numbers]
-    line_nos = np.flatnonzero(~blank) + 2
-    refused = numbers[0] <= 0
-    rejected = [RejectedRow(line_no, "nonpositive visibility")
-                for line_no in line_nos[refused].tolist()]
-    if rejected:
-        columns = [column[~refused] for column in columns]
-        line_nos = line_nos[~refused]
-    odd = ~np.isin(columns[2], SYNOPTIC_HOURS)
-    return (visibility_records(*columns), rejected,
-            zip(line_nos[odd].tolist(), columns[2][odd].tolist()))
+    return offsets, [np.fromiter(map(station, cells[0::6]), object, m),
+                     np.fromiter(map(day, cells[1::6]), np.int64, m).astype("datetime64[D]"),
+                     np.fromiter(map(int, cells[2::6]), np.int64, m), *numbers]
 
 
-def _check_lines(lines: list[str]) -> None:
-    """Check ``lines[1:]`` one line at a time: the first bad line raises
-    :class:`CsvParseError` naming it, after the warnings of the rows before
-    it."""
-    for line_no, raw in enumerate(lines[1:], start=2):
+def _check_lines(block: list[str], first_line_no: int) -> None:
+    """Check ``block`` one line at a time, its first line numbered
+    ``first_line_no``: the first bad line raises :class:`CsvParseError`
+    naming it."""
+    for line_no, raw in enumerate(block, start=first_line_no):
         text = raw.rstrip("\n")
         if not text.strip():
             continue
@@ -200,7 +186,7 @@ def _check_lines(lines: list[str]) -> None:
         if not parts[0].strip():
             raise CsvParseError(line_no, "column 'station' is empty")
         try:
-            datetime.date.fromisoformat(parts[1].strip())
+            _day(parts[1])
         except ValueError as exc:
             raise CsvParseError(line_no, f"column 'date': {exc}") from exc
         try:
@@ -209,7 +195,6 @@ def _check_lines(lines: list[str]) -> None:
             raise CsvParseError(line_no, f"column 'hour': not an integer: {parts[2]!r}") from exc
         if not -2 ** 63 <= hour < 2 ** 63:
             raise CsvParseError(line_no, f"column 'hour': out of range: {parts[2]!r}")
-        values = []
         for name, part in zip(("visibility_km", "wind_speed_mps", "altitude_m"), parts[3:]):
             try:
                 value = float(part)
@@ -217,14 +202,6 @@ def _check_lines(lines: list[str]) -> None:
                 raise CsvParseError(line_no, f"column {name!r}: not a number: {part!r}") from exc
             if not math.isfinite(value):
                 raise CsvParseError(line_no, f"column {name!r}: not finite: {part!r}")
-            values.append(value)
-        if values[0] > 0 and hour not in SYNOPTIC_HOURS:
-            _warn_hour(line_no, hour)
-
-
-def _warn_hour(line_no: int, hour: int) -> None:
-    """The one call site of the warning, so both parses show the same text."""
-    warnings.warn(f"line {line_no}: non-synoptic observation hour {hour}")
 
 
 def write_visibility_csv(records: np.recarray) -> str:

@@ -2,8 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from foglink.serialize import load_model, save_model
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
 
+ROOT = Path(__file__).resolve().parents[1]
 FAST_PIPELINE = """
 sample_records = 30
 wavelengths_nm = 760,1550
@@ -349,6 +353,35 @@ class TestTrain:
             f"{bad}: skipped 1 row(s), the first at line 4 (nonpositive visibility)\n")
         assert main(["evaluate", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
         assert "skipped 1 row(s), the first at line 4" in capsys.readouterr().err
+
+    def test_non_synoptic_hours_summarised_in_one_line(self, trained, tmp_path):
+        """One line naming the CSV, as a user's own interpreter shows it: no
+        Python warning with the installed source path.  A parse error after
+        such rows prints only itself."""
+        lines = trained["data"].read_text().splitlines()
+        for index, hour in ((5, "9"), (9, "+9")):
+            cells = lines[index].split(",")
+            lines[index] = ",".join(cells[:2] + [hour] + cells[3:])
+        data = tmp_path / "odd.csv"
+
+        def train():
+            data.write_text("\n".join(lines) + "\n")
+            return subprocess.run(
+                [sys.executable, "-c", "import sys; from foglink.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train", "--data", str(data),
+                 "--config", str(trained["cfg"]), "--seed", "5",
+                 "--out-dir", str(tmp_path / "run")],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                capture_output=True, text=True)
+
+        run = train()
+        assert (run.returncode, run.stderr) == (EXIT_OK, (
+            f"{data}: 2 row(s) at a non-synoptic hour, the first at line 6 (hour 9)\n"))
+        assert "dataset.py" not in run.stderr and "UserWarning" not in run.stderr
+        lines[12] = lines[12].replace(",", ",,", 1)
+        run = train()
+        assert (run.returncode, run.stderr) == (
+            EXIT_PARSE, "parse error: line 13: expected 6 columns, got 7\n")
 
     def test_stacked_reuses_seed_free_fits(self, trained, tmp_path, monkeypatch):
         """rf, gbr and adbr are fitted once per fold plus once on the full

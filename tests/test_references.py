@@ -1,15 +1,16 @@
-"""Every function, class and method defined in the package is referenced
-from the package, the scripts or the benchmark.
+"""Every function, class, method and module-level UPPER_CASE constant
+defined in the package is referenced from the package, the scripts or the
+benchmark.
 
 A definition counts as referenced when some module of ``src/foglink``
 other than ``__init__``, a script or a ``perfbench`` file names it outside
-its own body: a read of the bare name (``ast.Name``), an attribute of that
-name (``ast.Attribute``), an import of it, or a part of a dotted string
-constant (the benchmark wraps functions it finds by such names).  Methods
-are matched by name alone, so a method shares its references with every
-other method of that name.  Dunder methods are called by the language and
-are skipped.  The allow-list holds the names the acceptance gate calls
-directly and nothing else does.
+its own body (a constant, outside its own assignment): a read of the bare
+name (``ast.Name``), an attribute of that name (``ast.Attribute``), an
+import of it, or a part of a dotted string constant (the benchmark wraps
+functions it finds by such names).  Methods are matched by name alone, so a
+method shares its references with every other method of that name.  Dunder
+methods are called by the language and are skipped.  The allow-list holds
+the names the acceptance gate calls directly and nothing else does.
 """
 
 import ast
@@ -45,11 +46,17 @@ def references(tree: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, node) for each top-level function and class and
-    each method of a top-level class, dunder methods left out."""
+    """(qualified name, node) for each top-level function, class and
+    UPPER_CASE constant (its assignment the node) and each method of a
+    top-level class, dunder methods left out."""
     for node in tree.body:
         if isinstance(node, DEFINITION):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, DEFINITION) and not member.name.startswith("__"):
@@ -65,7 +72,7 @@ def unreferenced(defining: dict[str, str], referencing: dict[str, str]) -> list[
     found = []
     for source in defining.values():
         for qualified, node in definitions(ast.parse(source)):
-            name = node.name
+            name = qualified.rpartition(".")[2]
             if total[name] - references(node)[name] <= 0:
                 found.append(qualified)
     return found
@@ -76,11 +83,12 @@ def test_checker_sees_unreferenced_definitions():
            "    def __repr__(self): return 'A'\n"
            "def recursive(n):\n    return recursive(n - 1)\n"
            "def imported(): pass\ndef by_string(): pass\ndef called(): pass\n"
-           "def orphan(): pass\n")
+           "def orphan(): pass\n"
+           "USED = 1\nUNUSED = 2\nTYPED: int = 3\nlower = 4\n")
     user = ("from lib import A, imported\nA().used()\ncalled()\n"
-            "WRAPPED = [('lib', 'B.by_string')]\n")
+            "WRAPPED = [('lib', 'B.by_string')]\nprint(USED)\n")
     assert unreferenced({"lib": lib}, {"lib": lib, "user": user}) == [
-        "A.unused", "recursive", "orphan"]
+        "A.unused", "recursive", "orphan", "UNUSED", "TYPED"]
 
 
 def test_every_definition_is_referenced():
