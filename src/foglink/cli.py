@@ -403,7 +403,8 @@ def _load_records(path, seed: int, cfg: RunConfig):
     ``seed``; rows at a non-synoptic hour and skipped rows are reported on
     stderr."""
     data_path = _input_file(path, "data file")
-    result = parse_visibility_csv(data_path.read_text().splitlines())
+    with data_path.open() as lines:  # streamed: the parser reads 4,096 lines at a time
+        result = parse_visibility_csv(lines)
     records, rejected = result.records, result.rejected
     if result.odd_hours:
         line_no, hour = result.odd_hours[0]

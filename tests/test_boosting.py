@@ -1,7 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from reference_tree import reference_grow
+from test_tree import awkward_table
 
+from foglink import tree as tree_module
+from foglink.adaboost import fit_adaboost_r2
 from foglink.boosting import fit_gradient_boost
+from foglink.serialize import model_to_dict
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
 
@@ -80,3 +87,30 @@ def test_learning_rate_domain():
 def test_negative_stage_count_rejected():
     with pytest.raises(ValueError):
         fit_gradient_boost(TEN_POINT, -1, 0.5, 1)
+
+
+def fit_both(fit):
+    """The serialized model ``fit()`` returns, as fitted and with every tree
+    grown by the per-feature reference search instead."""
+    fast = json.dumps(model_to_dict(fit()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_grow", reference_grow)
+        reference = json.dumps(model_to_dict(fit()))
+    return fast, reference
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("max_depth", [None, 2, 6])
+def test_gradient_boost_matches_reference_grower(seed, max_depth):
+    data = awkward_table(seed, n=120)
+    fast, reference = fit_both(lambda: fit_gradient_boost(data, 8, 0.3, 3, max_depth=max_depth))
+    assert fast == reference
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("max_depth", [1, 3, 5])
+def test_adaboost_matches_reference_grower(seed, max_depth):
+    # rounds after the first fit under unequal weights
+    data = awkward_table(seed, n=120)
+    fast, reference = fit_both(lambda: fit_adaboost_r2(data, 8, 3, max_depth=max_depth))
+    assert fast == reference

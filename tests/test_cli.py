@@ -883,6 +883,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "parse error: line 401: column 'visibility_km': not finite: 'nan'\n")
 
+    def test_only_newlines_end_csv_lines(self, tmp_path, capsys):
+        """The CSV is read as a stream of lines, which only a newline ends
+        (a CRLF or CR ending reads as one): a form feed or U+2028 inside a row
+        does not start a new line, so later lines keep their numbers."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("station,date,hour,visibility_km,wind_speed_mps,altitude_m\r\n"
+                       "A,2015-01-01,8,1.0,1.0,1.0\f\r\n"
+                       "A,2015-01-01,8,1.0,1.0,1.0\u2028\n"
+                       "A,2015-01-02,8,nan,1.0,1.0\n", encoding="utf-8")
+        assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: line 4: column 'visibility_km': not finite: 'nan'\n")
+
     def test_validation_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "no_such_key = 1\n")
         assert main(["attenuation-sweep", "--config", cfg,

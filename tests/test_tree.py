@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference_tree import reference_grow
 
 from foglink import tree as tree_module
@@ -89,6 +90,16 @@ def test_sample_weight_shifts_leaf_values():
     data = table([0.0, 1.0], [0.0, 10.0])
     heavy_right = fit_regression_tree(data, 2, sample_weight=np.array([1.0, 3.0]))
     assert heavy_right.value[0] == pytest.approx(7.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_weight_rejected(bad):
+    # either would reach predict as a NaN leaf for its row
+    data = table(np.arange(10.0), np.arange(10.0) ** 2)
+    w = np.ones(10)
+    w[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_regression_tree(data, 1, sample_weight=w)
 
 
 def test_integer_weights_match_duplicated_rows():
@@ -239,3 +250,29 @@ def test_batched_search_matches_reference_when_squares_overflow():
         y = 10.0 ** rng.uniform(150, 154) * (1 + 0.3 * rng.normal(size=n))
         fast, reference = fit_both(LabeledTable(X, y, ("a", "b", "c")), 1, max_depth=6)
         assert fast == reference
+
+
+# zero weights (a zero-weight child scores and averages 0/0), subnormal and
+# tiny ones; an unweighted fit takes the scan's unit-weight path
+WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.25, 1.0, 3.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 48), weights=st.data(),
+       weighted=st.booleans(), max_depth=st.sampled_from([None, *range(8)]),
+       min_leaf_size=st.integers(1, 8), mtry=st.sampled_from([None, 1, 3]))
+def test_fit_matches_reference_grower(seed, n, weights, weighted, max_depth, min_leaf_size,
+                                      mtry):
+    data = awkward_table(seed, n)
+    kwargs = {"max_depth": max_depth}
+    if weighted:
+        w = np.array(weights.draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+        if not w.sum() > 0:
+            w[0] = 1.0
+        kwargs["sample_weight"] = w
+    if mtry is not None:
+        kwargs["_mtry"] = mtry
+    fast, reference = fit_both(data, min_leaf_size, rng_seed=None if mtry is None else seed,
+                               **kwargs)
+    assert fast == reference
