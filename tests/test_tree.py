@@ -253,14 +253,23 @@ def test_batched_search_matches_reference_when_squares_overflow():
 
 
 # zero weights (a zero-weight child scores and averages 0/0), subnormal and
-# tiny ones; an unweighted fit takes the scan's unit-weight path
+# tiny ones
 WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.25, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("max_depth", [-1, -3, 0])
+def test_depth_cap_at_or_below_zero_fits_one_leaf(max_depth):
+    data = awkward_table(4, 40)
+    fast, reference = fit_both(data, 1, max_depth=max_depth)
+    assert fast == reference
+    tree = fit_regression_tree(data, 1, max_depth=max_depth)
+    assert tree.feature == [-1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 48), weights=st.data(),
-       weighted=st.booleans(), max_depth=st.sampled_from([None, *range(8)]),
+       weighted=st.booleans(), max_depth=st.sampled_from([None, *range(-2, 8)]),
        min_leaf_size=st.integers(1, 8), mtry=st.sampled_from([None, 1, 3]))
 def test_fit_matches_reference_grower(seed, n, weights, weighted, max_depth, min_leaf_size,
                                       mtry):
