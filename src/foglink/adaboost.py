@@ -178,6 +178,8 @@ def fit_adaboost_r2(data: LabeledTable, n_rounds: int, min_leaf_size: int, *,
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if data.n_rows < 2:
         raise ValueError("need at least two rows")
 

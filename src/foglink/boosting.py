@@ -53,6 +53,8 @@ def fit_gradient_boost(data: LabeledTable, n_trees: int, learning_rate: float,
         raise ValueError(f"learning_rate must lie strictly in (0, 1), got {learning_rate}")
     if n_trees < 0:
         raise ValueError(f"n_trees must be nonnegative, got {n_trees}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if data.n_rows < 1:
         raise ValueError("cannot fit on an empty table")
 

@@ -1,10 +1,11 @@
 """Random forest regression: bagged CART trees with per-split feature draws.
 
-Each member tree trains on an m-row with-replacement resample and considers
-a fresh random subset of ``mtry`` features at every split.  Per-tree random
-streams are spawned from the model seed, so refitting with the same seed is
-bit-identical regardless of fitting order.  Rows left out of a tree's
-bootstrap provide the out-of-bag error estimate.
+Each member tree trains on an m-row with-replacement resample and searches
+``mtry`` features per node, drawn from the key its path from the root gives
+the node (see ``foglink.tree``).  Per-tree random streams spawned from the
+model seed draw the resample, then the root key, so refitting with the same
+seed is bit-identical regardless of fitting order.  Rows left out of a
+tree's bootstrap provide the out-of-bag error estimate.
 """
 
 from __future__ import annotations

@@ -20,13 +20,13 @@ rounding bound of the smallest; the others cannot win.  The fitted tree is the
 one a per-node sort and a recomputation for every feature would give, bit for
 bit.
 
-A fit that searches every feature at every node (a gradient-boosting stage,
-an AdaBoost.R2 round, a plain tree) grows one depth at a time: all open nodes
-of a depth are searched in one batch, and the nodes are numbered afterwards
-in the order a depth-first grower would give them.  A forest member draws a
-random feature subset per node from one generator, in push/pop order, so its
-draws depend on the growth order; it grows depth first and searches one node
-at a time.
+Every fit grows one depth at a time: all open nodes of a depth are searched
+in one batch, and the nodes are numbered afterwards in depth-first order.  A
+forest member searches ``mtry`` features per node, drawn from a key the node
+carries: a child's key hashes its parent's key and side, and a node draws
+the features of the smallest hashes of its key and the feature index (a
+counter-based draw, after Salmon et al., SC 2011), so the draws follow each
+node's path from the root, not the growth order.
 
 A batch pads nodes of similar size into blocks, past each node's last row,
 with a pad row of zero moments (and a feature value of -inf, which opens no
@@ -185,18 +185,19 @@ class _Fit(NamedTuple):
 
 
 def _scan(fit: _Fit, sorted_rows: np.ndarray, sizes: list[int], features: np.ndarray) -> list:
-    """Scan a batch of nodes for each feature's best split.
+    """Scan a batch of nodes for each candidate feature's best split.
 
     The nodes lie end to end in ``sorted_rows``, ``sizes`` rows each (at
-    least two): ``sorted_rows[i]`` holds each node's rows in stable ascending
-    order of ``fit.columns[features[i]]``.
-    Returns, per node, four lists over the features: the scanned squared
+    least two): ``sorted_rows[f]`` holds each node's rows in stable ascending
+    order of ``fit.columns[f]``.  Row ``i`` of ``features`` (nodes x c)
+    holds node ``i``'s candidate features.
+    Returns, per node, four lists over its candidates: the scanned squared
     error of each feature's best split, the sorted values ``lo`` and ``hi``
     it falls between (a split needs ``lo < hi``, which a constant feature
     has none of), and the sum of w*y^2 over the node in that feature's
     order.
     """
-    c, pad = features.size, fit.y.size
+    c, pad, stride = features.shape[1], fit.y.size, sorted_rows.shape[1]
     # nodes of like size share a block, each padded to the block's largest
     blocks, width, padding = [], 0, 0
     for node in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
@@ -211,17 +212,16 @@ def _scan(fit: _Fit, sorted_rows: np.ndarray, sizes: list[int], features: np.nda
     for block in blocks:
         b, m = len(block), [sizes[node] for node in block]
         width, lanes = m[0], c * b
-        if b == 1:
-            idx = sorted_rows[:, None, starts[block[0]]:starts[block[0]] + width]
-        else:
-            ahead = np.arange(width)
-            spans = np.minimum(np.array([starts[node] for node in block])[:, None] + ahead,
-                               sorted_rows.shape[1] - 1)
-            idx = np.where(ahead < np.array(m)[:, None], sorted_rows.take(spans, axis=1), pad)
-        # idx is (feature, node, position), pads past each node's rows; a
-        # lane is one (feature, node) pair
-        idx = idx.reshape(lanes, width)
-        xs = fit.columns[features.repeat(b)[:, None], idx]
+        # a lane is one (feature, node) pair, feature-major; idx holds each
+        # lane's rows in its feature's order, pads past each node's rows
+        lane_feature = features[block].T.reshape(lanes, 1)
+        ahead = np.arange(width)
+        spans = np.minimum(np.array([starts[node] for node in block])[:, None] + ahead,
+                           stride - 1)
+        idx = np.where(ahead < np.array(m)[:, None],
+                       sorted_rows.take(lane_feature.reshape(c, b, 1) * stride + spans),
+                       pad).reshape(lanes, width)
+        xs = fit.columns[lane_feature, idx]
         # prefix sums of the moments in each feature's order for the left
         # child, and true suffix sums (accumulated from the far end) for the
         # right one.  Deriving the right side as total-minus-prefix leaks
@@ -261,7 +261,7 @@ def _pick(fit: _Fit, node_rows: list, features: np.ndarray, scanned: list) -> li
     ``node_rows`` holds each node's rows in ascending index order.
     """
     found = []
-    for rows, (sse, lo, hi, total) in zip(node_rows, scanned):
+    for rows, candidates, (sse, lo, hi, total) in zip(node_rows, features, scanned):
         picks = [f for f in range(len(lo)) if lo[f] < hi[f]]
         if len(picks) > 1:
             near = [sse[f] for f in picks]
@@ -270,8 +270,8 @@ def _pick(fit: _Fit, node_rows: list, features: np.ndarray, scanned: list) -> li
                 least, bound = min(near), rows.size * _TIE * total[0] + fit.allowance
                 picks = [f for f, s in zip(picks, near) if s - least <= bound] or picks
             if len(picks) > 1:
-                picks = [_rescore(fit, rows, features, picks, lo, hi)]
-        found.append((int(features[picks[0]]), _midpoint(lo[picks[0]], hi[picks[0]]))
+                picks = [_rescore(fit, rows, candidates, picks, lo, hi)]
+        found.append((int(candidates[picks[0]]), _midpoint(lo[picks[0]], hi[picks[0]]))
                      if picks else (-1, 0.0))
     return found
 
@@ -284,9 +284,9 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid if mid < hi else lo
 
 
-def _rescore(fit: _Fit, rows: np.ndarray, features: np.ndarray, picks: list, lo: list,
+def _rescore(fit: _Fit, rows: np.ndarray, candidates: np.ndarray, picks: list, lo: list,
              hi: list) -> int:
-    """The candidate of ``picks`` (positions in ``features``) whose split,
+    """The candidate of ``picks`` (positions in ``candidates``) whose split,
     rescored over its actual partition of ``rows``, first has the least
     squared error.
 
@@ -296,7 +296,7 @@ def _rescore(fit: _Fit, rows: np.ndarray, features: np.ndarray, picks: list, lo:
     node_y, node_w = fit.y[rows], fit.w[rows]
     # min keeps the first of equal scores, and a NaN score only when first
     return min(picks, key=lambda f: _split_sse(
-        node_y, node_w, fit.columns[features[f], rows] <= _midpoint(lo[f], hi[f])))
+        node_y, node_w, fit.columns[candidates[f], rows] <= _midpoint(lo[f], hi[f])))
 
 
 def _open(y: np.ndarray, rows: np.ndarray, sizes: list[int], min_leaf_size: int) -> list[bool]:
@@ -313,51 +313,39 @@ def _open(y: np.ndarray, rows: np.ndarray, sizes: list[int], min_leaf_size: int)
     return grows.tolist()
 
 
-def _grow_depth_first(fit: _Fit, order, min_leaf_size, max_depth, allowed, mtry, rng):
-    """The node lists and (node, rows) of every leaf of a tree that draws
-    ``mtry`` of the ``allowed`` features per node, grown in push/pop order
-    because that is the order of the draws."""
-    nodes = tuple([blank] for blank in _LEAF)
-    leaves = []
-    columns, y = fit.columns, fit.y
-    # (node, row indices ascending, per-feature sorted rows, depth); explicit
-    # stack so deep trees cannot hit the recursion limit
-    stack = [(0, np.arange(y.size), order, 0)]
-    while stack:
-        node, rows, sorted_rows, depth = stack.pop()
-        if (rows.size <= min_leaf_size or (max_depth is not None and depth >= max_depth)
-                or (y[rows] == y[rows[0]]).all()):
-            leaves.append((node, rows))
-            continue
-        chosen = rng.choice(allowed, size=mtry, replace=False)
-        chosen.sort()
-        chosen_rows = sorted_rows[allowed.searchsorted(chosen)]
-        ((feature, threshold),) = _pick(fit, [rows], chosen,
-                                        _scan(fit, chosen_rows, [rows.size], chosen))
-        if feature < 0:
-            leaves.append((node, rows))
-            continue
-        child = _split_leaf(nodes, node, feature, threshold)
-        goes_left = columns[feature, rows] <= threshold
-        # a boolean gather keeps every feature's list in order
-        in_left = columns[feature].take(sorted_rows) <= threshold
-        k = sorted_rows.shape[0]
-        stack.append((child, rows[goes_left], sorted_rows[in_left].reshape(k, -1), depth + 1))
-        stack.append((child + 1, rows[~goes_left],
-                      sorted_rows[~in_left].reshape(k, -1), depth + 1))
-    return nodes, leaves
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser of every entry of a uint64 array; array
+    arithmetic wraps mod 2^64 silently, where numpy scalars would warn."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, allowed):
-    """The node lists and (node, rows) of every leaf of a tree that searches
-    all ``allowed`` features at every node: all open nodes of one depth are
-    searched in one batch, then numbered in push/pop order."""
-    y, k, stride = fit.y, allowed.size, fit.columns.shape[1]
+def _child_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the left and the right children of nodes keyed ``keys``:
+    mix(2 key) and mix(2 key + 1), mod 2^64."""
+    twice = keys << np.uint64(1)
+    return _mix(twice), _mix(twice | np.uint64(1))
+
+
+def _draw(keys: np.ndarray, n_features: int, mtry: int) -> np.ndarray:
+    """Per node keyed ``keys``, its ``mtry`` candidate features in ascending
+    order: those with the smallest mix(key ^ mix(feature + 1))."""
+    hashes = _mix(keys[:, None] ^ _mix(np.arange(1, n_features + 1, dtype=np.uint64)))
+    return np.sort(hashes.argsort(axis=1, kind="stable")[:, :mtry], axis=1)
+
+
+def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, mtry, key):
+    """The node lists and (node, rows) of every leaf of a tree: all open nodes
+    of one depth are searched in one batch, then numbered in push/pop order.
+    With a root ``key`` (a one-entry uint64 array) each node searches the
+    ``mtry`` features its own key draws; without one, every feature."""
+    y, k, stride = fit.y, fit.columns.shape[0], fit.columns.shape[1]
     # by creation number: (feature, threshold, left child's number) of each
     # split, and the rows of each leaf; the right child's number follows
     splits, leaf_rows = {}, {}
-    # the open nodes of one depth, end to end as _scan takes them
-    made, sizes, rows, sorted_rows = [0], [y.size], np.arange(y.size), order
+    # the open nodes of one depth, end to end as _scan takes them, and their keys
+    made, sizes, rows, sorted_rows, keys = [0], [y.size], np.arange(y.size), order, key
     depth, count = 0, 1
     if (max_depth is not None and depth >= max_depth
             or not _open(y, rows, sizes, min_leaf_size)[0]):
@@ -367,8 +355,10 @@ def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, allowed):
         counts = np.array(sizes)
         starts = counts.cumsum() - counts
         node_rows = [rows[a:a + size] for a, size in zip(starts.tolist(), sizes)]
-        feature, threshold = zip(*_pick(fit, node_rows, allowed,
-                                        _scan(fit, sorted_rows, sizes, allowed)))
+        features = (np.broadcast_to(np.arange(k), (len(made), k)) if keys is None
+                    else _draw(keys, k, mtry))
+        feature, threshold = zip(*_pick(fit, node_rows, features,
+                                        _scan(fit, sorted_rows, sizes, features)))
         at = np.array(feature).repeat(counts)
         goes_left = fit.columns.take(at * stride + rows) <= np.array(threshold).repeat(counts)
         splitting = at >= 0
@@ -409,12 +399,14 @@ def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, allowed):
             [flat.take(np.flatnonzero(side)).reshape(k, -1) for side in (
                 in_left & np.array(stays[0]).repeat(counts),
                 in_left < np.array(stays[1]).repeat(counts))], axis=1)
+        if keys is not None:
+            keys = np.concatenate(_child_keys(keys[np.array(feature) >= 0]))[np.array(grows)]
         rows = child_rows[np.array(grows).repeat(child_sizes)]
         made = [child for (_, _, child, _), grow in zip(children, grows) if grow]
         sizes = [size for size, grow in zip(child_sizes, grows) if grow]
     nodes = tuple([blank] for blank in _LEAF)
     leaves = []
-    stack = [(0, 0)]  # (creation number, node), numbered as the depth-first grower would
+    stack = [(0, 0)]  # (creation number, node), numbered in depth-first push/pop order
     while stack:
         made, node = stack.pop()
         if made in splits:
@@ -427,24 +419,22 @@ def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, allowed):
 
 
 def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
-          max_depth: Optional[int], allowed: np.ndarray, mtry: Optional[int],
+          max_depth: Optional[int], mtry: Optional[int],
           rng: Optional[np.random.Generator]) -> tuple[list, ...]:
     """The fitted tree's five node lists (see ``RegressionTree``)."""
-    # Sort each allowed column once.  A stable sort of the whole column,
-    # restricted to a node's rows, orders them exactly as a stable sort of the
-    # node alone would, because node rows stay in ascending index order.
-    order = np.ascontiguousarray(np.argsort(X[:, allowed], axis=0, kind="stable").T)
+    # Sort each column once.  A stable sort of the whole column, restricted
+    # to a node's rows, orders them exactly as a stable sort of the node
+    # alone would, because node rows stay in ascending index order.
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     # one pad column past the last row: -inf opens no boundary, and zero
     # moments add nothing to a sum
     moments = np.stack((w, w * y, w * y * y))
     fit = _Fit(np.concatenate((X.T, np.full((X.shape[1], 1), -np.inf)), axis=1), y, w,
                np.concatenate((moments, np.zeros((3, 1))), axis=1),
                _underflow_allowance(y, w))
-    if mtry is not None and mtry < allowed.size:
-        nodes, leaves = _grow_depth_first(fit, order, min_leaf_size, max_depth, allowed, mtry,
-                                          rng)
-    else:
-        nodes, leaves = _grow_by_level(fit, order, min_leaf_size, max_depth, allowed)
+    key = (rng.integers(2 ** 64, size=1, dtype=np.uint64)
+           if mtry is not None and mtry < X.shape[1] else None)
+    nodes, leaves = _grow_by_level(fit, order, min_leaf_size, max_depth, mtry, key)
     value = nodes[-1]
     for node, rows in leaves:
         ys, ws = y[rows], w[rows]
@@ -460,8 +450,9 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int, *,
     """Grow a tree on the whole table.
 
     ``sample_weight`` makes split errors and leaf values weighted, which the
-    boosting reweighters rely on; ``_mtry``/``_rng`` draw a fresh random
-    feature subset per split for forest members.
+    boosting reweighters rely on; with ``_mtry`` below the feature count,
+    each node searches ``_mtry`` features drawn from a key that ``_rng``
+    gives the root (forest members).
     """
     if data.n_rows < 1:
         raise ValueError("cannot fit a tree on an empty table")
@@ -474,6 +465,5 @@ def fit_regression_tree(data: LabeledTable, min_leaf_size: int, *,
         if w.shape != (data.n_rows,) or not np.isfinite(w).all() or np.any(w < 0) \
                 or w.sum() <= 0:
             raise ValueError("sample_weight must be finite and nonnegative with positive sum")
-    nodes = _grow(data.features, data.targets, w, min_leaf_size, max_depth,
-                  np.arange(data.n_features), _mtry, _rng)
+    nodes = _grow(data.features, data.targets, w, min_leaf_size, max_depth, _mtry, _rng)
     return RegressionTree(*nodes, n_features=data.n_features, feature_names=data.feature_names)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from foglink.tree import _LEAF, _split_leaf
+from foglink.tree import _LEAF, _child_keys, _draw, _split_leaf
 
 
 def _weighted_sse_split(xs, ys, ws):
@@ -60,12 +60,15 @@ def _best_split(X, y, w, feature_indices):
 
 
 def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
-                   allowed: np.ndarray, mtry: Optional[int],
-                   rng: Optional[np.random.Generator]):
+                   mtry: Optional[int], rng: Optional[np.random.Generator]):
+    n_features = X.shape[1]
+    key = None
+    if mtry is not None and mtry < n_features:
+        key = rng.integers(2 ** 64, size=1, dtype=np.uint64)
     nodes = tuple([blank] for blank in _LEAF)
-    stack = [(0, np.arange(X.shape[0]), 0)]
+    stack = [(0, np.arange(X.shape[0]), 0, key)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, depth, key = stack.pop()
         ys = y[rows]
         stop = (
             rows.size <= min_leaf_size
@@ -73,10 +76,10 @@ def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
             or (max_depth is not None and depth >= max_depth)
         )
         if not stop:
-            if mtry is not None and mtry < allowed.size:
-                chosen = np.sort(rng.choice(allowed, size=mtry, replace=False))
+            if key is not None:
+                chosen = _draw(key, n_features, mtry)[0]
             else:
-                chosen = allowed
+                chosen = np.arange(n_features)
             found = _best_split(X[rows], ys, w[rows], chosen)
             if found is None:
                 stop = True
@@ -84,8 +87,9 @@ def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
                 _, feature, threshold = found
                 child = _split_leaf(nodes, node, feature, threshold)
                 goes_left = X[rows, feature] <= threshold
-                stack.append((child, rows[goes_left], depth + 1))
-                stack.append((child + 1, rows[~goes_left], depth + 1))
+                left_key, right_key = (None, None) if key is None else _child_keys(key)
+                stack.append((child, rows[goes_left], depth + 1, left_key))
+                stack.append((child + 1, rows[~goes_left], depth + 1, right_key))
         if stop:
             ws = w[rows]
             nodes[-1][node] = float(np.dot(ws, ys) / ws.sum())

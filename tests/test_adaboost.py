@@ -148,6 +148,12 @@ class TestAdaboostR2:
         assert model.round_errors == [0.0]
         assert model.predict(X) == pytest.approx(y, rel=1e-12)
 
+    @pytest.mark.parametrize("max_depth", [-1, -2])
+    def test_negative_max_depth_rejected(self, max_depth):
+        X = np.arange(6, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+            fit_adaboost_r2(LabeledTable(X, X[:, 0], ("x",)), 5, 1, max_depth=max_depth)
+
     def test_constant_targets(self):
         X = np.arange(6, dtype=float)[:, None]
         model = fit_adaboost_r2(LabeledTable(X, np.full(6, 3.5), ("x",)), 5, 1)

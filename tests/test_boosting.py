@@ -89,6 +89,12 @@ def test_negative_stage_count_rejected():
         fit_gradient_boost(TEN_POINT, -1, 0.5, 1)
 
 
+@pytest.mark.parametrize("max_depth", [-1, -2])
+def test_negative_max_depth_rejected(max_depth):
+    with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+        fit_gradient_boost(TEN_POINT, 5, 0.5, 1, max_depth=max_depth)
+
+
 def fit_both(fit):
     """The serialized model ``fit()`` returns, as fitted and with every tree
     grown by the per-feature reference search instead."""

@@ -341,6 +341,19 @@ class TestTrain:
         assert "training failed for mlp: layer_sizes" in capsys.readouterr().err
         assert "layer_sizes" in json.loads((out / "manifest.json").read_text())["failures"]["mlp"]
 
+    @pytest.mark.parametrize("setting, name", [("gbr_max_depth = -1", "gbr"),
+                                               ("adbr_max_depth = -2", "adbr")])
+    def test_negative_max_depth_fails_the_learner(self, trained, tmp_path, capsys, setting,
+                                                  name):
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(FAST_PIPELINE + setting + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(trained["data"]), "--config", str(cfg),
+                     "--seed", "5", "--out-dir", str(out)]) == EXIT_TRAINING
+        assert f"training failed for {name}: max_depth must be nonnegative" in \
+            capsys.readouterr().err
+        assert name in json.loads((out / "manifest.json").read_text())["failures"]
+
     def test_skipped_visibility_rows_reported(self, trained, tmp_path, capsys):
         lines = trained["data"].read_text().splitlines()
         station, date, hour, _, wind, altitude = lines[3].split(",")

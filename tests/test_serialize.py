@@ -9,7 +9,8 @@ from foglink.cli import EXIT_VALIDATION, main
 from foglink.forest import fit_random_forest
 from foglink.neural import ActivationKind, MLPModel, TrainConfig, train
 from foglink.serialize import load_model, model_from_dict, model_to_dict, save_model
-from foglink.stacking import LearnerSpec, StackConfig, fit_base_learner, fit_stacked
+from foglink.stacking import (LearnerSpec, StackConfig, build_level1_sample, fit_base_learner,
+                              fit_stacked, solve_stacking_weights)
 from foglink.tables import LabeledTable
 from foglink.tree import RegressionTree, fit_regression_tree
 
@@ -113,8 +114,11 @@ def test_stacked_round_trip(data, grid):
     clone = round_trip(model)
     assert np.array_equal(model.predict(grid), clone.predict(grid))
     assert clone.weights == pytest.approx(model.weights, rel=0, abs=0)
-    # the depth-0 tree gets weight 0, so it is no member
-    assert clone.specs == model.specs == cfg.base_learner_specs[:2]
+    # the members are exactly the learners of positive weight
+    weights = solve_stacking_weights(build_level1_sample(data, cfg))
+    assert np.array_equal(clone.weights, weights[weights > 0])
+    assert clone.specs == model.specs == tuple(
+        spec for spec, weight in zip(cfg.base_learner_specs, weights) if weight > 0)
 
 
 def test_mlp_round_trip(data, grid):
@@ -188,10 +192,9 @@ def test_old_stack_with_zero_weight_is_refused(tmp_path, data, capsys):
     included; such a file exits 3 naming the file."""
     mean = LearnerSpec("tree", {"max_depth": 0})
     cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
-                       LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3}), mean),
+                       LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3})),
                       n_folds=3, seed=2)
     old = model_to_dict(fit_stacked(data, cfg))
-    assert len(old["weights"]) == 2  # the mean's weight is 0
     old["weights"].append(0.0)
     old["specs"].append({"kind": "tree", "name": None, "params": mean.params})
     old["base_models"].append(model_to_dict(fit_base_learner(mean, data, 2)))

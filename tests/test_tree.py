@@ -8,7 +8,7 @@ from reference_tree import reference_grow
 from foglink import tree as tree_module
 from foglink.serialize import model_to_dict
 from foglink.tables import LabeledTable
-from foglink.tree import fit_regression_tree
+from foglink.tree import _child_keys, _draw, _mix, fit_regression_tree
 
 
 def table(features, targets):
@@ -285,3 +285,57 @@ def test_fit_matches_reference_grower(seed, n, weights, weighted, max_depth, min
     fast, reference = fit_both(data, min_leaf_size, rng_seed=None if mtry is None else seed,
                                **kwargs)
     assert fast == reference
+
+
+# --- the path-keyed feature draws against exact integer arithmetic
+
+M64 = 2 ** 64
+KEYS = [0, 1, 2, 0x9E3779B97F4A7C15, 0x0123456789ABCDEF, 2 ** 63, 2 ** 63 + 1, M64 - 1]
+
+
+def exact_mix(z):
+    """splitmix64's finaliser on a Python integer below 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % M64
+    return z ^ (z >> 31)
+
+
+def test_mix_matches_exact_integer_arithmetic():
+    assert _mix(np.array(KEYS, dtype=np.uint64)).tolist() == [exact_mix(k) for k in KEYS]
+    # splitmix64 seeded with 0 first returns 0xE220A8397B1DCDAF
+    assert exact_mix(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+
+
+def test_child_keys_and_draw_match_exact_integer_arithmetic():
+    keys = np.array(KEYS, dtype=np.uint64)
+    left, right = _child_keys(keys)
+    assert left.tolist() == [exact_mix(2 * k % M64) for k in KEYS]
+    assert right.tolist() == [exact_mix((2 * k + 1) % M64) for k in KEYS]
+    for n_features, mtry in ((7, 3), (5, 2), (4, 1), (9, 8)):
+        expected = [sorted(sorted(range(n_features),
+                                  key=lambda f: exact_mix(k ^ exact_mix(f + 1)))[:mtry])
+                    for k in KEYS]
+        assert _draw(keys, n_features, mtry).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.integers(0, M64 - 1), min_size=1, max_size=20), data=st.data())
+def test_every_node_draws_mtry_distinct_sorted_features(keys, data):
+    n_features = data.draw(st.integers(1, 12))
+    mtry = data.draw(st.integers(1, n_features))
+    drawn = _draw(np.array(keys, dtype=np.uint64), n_features, mtry)
+    assert drawn.shape == (len(keys), mtry)
+    for row in drawn.tolist():
+        assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < n_features
+
+
+@pytest.mark.parametrize("n_features, mtry", [(5, 2), (7, 3)])
+def test_each_feature_is_drawn_at_rate_mtry_over_features(n_features, mtry):
+    # the keys of 10,000 nodes of one tree, level by level from a seeded root
+    keys, level = [], np.random.default_rng(0).integers(2 ** 64, size=1, dtype=np.uint64)
+    while len(keys) < 10_000:
+        keys += level.tolist()
+        level = np.concatenate(_child_keys(level))
+    keys = np.array(keys[:10_000], dtype=np.uint64)
+    rate = np.bincount(_draw(keys, n_features, mtry).ravel(), minlength=n_features) / keys.size
+    assert np.all(np.abs(rate / (mtry / n_features) - 1.0) <= 0.03)
