@@ -39,10 +39,12 @@ from .atmosphere import (
 )
 from .dataset import (
     DEFAULT_STATION_PROFILES,
+    Column,
     CsvParseError,
     TransceiverSweep,
     build_qos_table,
     parse_visibility_csv,
+    read_csv_columns,
     synthesize_dataset,
     write_visibility_csv,
 )
@@ -592,48 +594,25 @@ def cmd_predict(args) -> int:
     model_path = _input_file(args.model, "model file")
     feature_path = _input_file(args.features, "feature file")
     model = load_model(model_path)
-    lines = feature_path.read_text().splitlines()
-    if not lines:
-        raise CsvParseError(1, "empty feature file, header row required")
-    header = [h.strip() for h in lines[0].split(",")]
     expected = list(model.feature_names or [])
-    if header != expected:
-        raise ValidationError(
-            f"feature columns {header} do not match the model's recorded "
-            f"feature names {expected} (order matters)")
-    # one pass over the whole file; on any fault the line loop names the first bad line
-    try:
-        X = np.array([list(map(float, line.split(","))) for line in lines[1:] if line.strip()])
-    except ValueError:
-        X = None
-    if X is None or X.ndim != 2 or X.shape[1] != len(expected) or not np.isfinite(X).all():
-        X = np.array(_feature_rows(lines, len(expected))).reshape(-1, len(expected))
+    # streamed through the archive's block reader, so only a newline ends a line
+    with feature_path.open() as lines:
+        first = next(lines, None)
+        if first is None:
+            raise CsvParseError(1, "empty feature file, header row required")
+        header = [h.strip() for h in first.split(",")]
+        if header != expected:
+            raise ValidationError(
+                f"feature columns {header} do not match the model's recorded "
+                f"feature names {expected} (order matters)")
+        _, columns = read_csv_columns(lines, [Column(name) for name in expected])
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    X = np.column_stack(columns)
     predictions = model.predict(X) if len(X) else np.empty(0)
     # rows are zipped from the columns as they are written, never held as one matrix
     _write_csv(out_path, expected + ["prediction"], zip(*X.T.tolist(), predictions.tolist()))
     return EXIT_OK
-
-
-def _feature_rows(lines: list[str], n_columns: int) -> list[list[float]]:
-    """The feature rows of a CSV's lines, parsed one line at a time; the
-    first bad line raises a ``CsvParseError`` naming it."""
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_columns:
-            raise CsvParseError(line_no, f"expected {n_columns} columns, got {len(parts)}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise CsvParseError(line_no, f"non-numeric feature value in {line!r}")
-        if not all(map(math.isfinite, values)):
-            raise CsvParseError(line_no, f"non-finite feature value in {line!r}")
-        rows.append(values)
-    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,16 +9,17 @@ wavelength/power/modulation grids into the five-feature table (modulation,
 data rate, attenuation, power, wavelength) whose target is the dB SNR
 budget.  The archive is one numpy record array (``visibility_records``)
 from the synthesizer and the parser to the writer and the table build.
+``read_csv_columns`` reads the archive's body and ``predict``'s feature
+rows alike: a stream of lines, which only a newline ends, in blocks.
 """
 
 from __future__ import annotations
 
 import datetime
-import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import count, islice, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ QOS_FEATURE_NAMES = ("modulation", "data_rate_bps", "attenuation_db_per_km",
 
 
 class CsvParseError(ValueError):
-    """Malformed visibility CSV; carries the offending line number."""
+    """Malformed CSV input; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
@@ -94,9 +95,8 @@ def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
     ``YYYY-MM-DD``) raise :class:`CsvParseError` with the line number; rows
     that are well-formed but carry nonpositive visibility are collected in
     the rejected-row report instead, and rows at a non-synoptic hour are
-    kept and listed in ``odd_hours``.  The body is read in chunks, each a
-    column at a time; on a fault the chunk is checked again line by line to
-    name its first bad line.
+    kept and listed in ``odd_hours``.  The body goes through
+    :func:`read_csv_columns`.
     """
     lines = iter(lines)
     text = next(lines, None)
@@ -105,20 +105,12 @@ def parse_visibility_csv(lines: Iterable[str]) -> ParseResult:
     text = text.rstrip("\n")
     if text.strip() != CSV_HEADER:
         raise CsvParseError(1, f"expected header {CSV_HEADER!r}, got {text!r}")
-    station = cache(_station)
     day = cache(lambda cell: _day(cell).toordinal() - _EPOCH_ORDINAL)
-    chunks = []
-    for first in count(2, _CHUNK_LINES):
-        block = list(islice(lines, _CHUNK_LINES))
-        try:
-            offsets, columns = _chunk_columns(block, station, day)
-        except (ValueError, OverflowError):
-            _check_lines(block, first)
-            raise  # the column parse refused what the line check accepts
-        chunks.append([offsets + first, *columns])
-        if len(block) < _CHUNK_LINES:
-            break
-    line_nos, *columns = [np.concatenate(column) for column in zip(*chunks)]
+    line_nos, columns = read_csv_columns(lines, (
+        Column("station", cache(_station), object, "column {name!r} is empty"),
+        Column("date", day, "datetime64[D]", "column {name!r}: {exc}"),
+        Column("hour", int, np.int64, "column {name!r}: not an integer: {cell!r}"),
+        *map(Column, CSV_HEADER.split(",")[3:])))
     refused = columns[3] <= 0
     rejected = [RejectedRow(line_no, "nonpositive visibility")
                 for line_no in line_nos[refused].tolist()]
@@ -150,29 +142,62 @@ def _day(cell: str) -> datetime.date:
     return datetime.date.fromisoformat(text)
 
 
-def _chunk_columns(block: list[str], station, day):
-    """The offsets in ``block`` of its non-blank lines and their six columns
-    (station, date, hour and the three numbers).  The block is split into
-    cells once and converted a column at a time; ``station`` and ``day``
-    convert one cell.  Any fault raises ``ValueError`` or ``OverflowError``
-    without naming a line."""
-    commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
-    offsets = np.flatnonzero(commas == 5)
-    if len(offsets) < len(block):  # blank lines are skipped, any other count is a fault
-        if any(block[i].strip() for i in np.flatnonzero(commas != 5).tolist()):
+class Column(NamedTuple):
+    """One CSV column: its name, a converter of one cell that raises
+    ``ValueError`` on a cell it refuses, the dtype of the values, and the
+    message for a refused cell, formatted with ``name``, ``cell`` and ``exc``."""
+
+    name: str
+    convert: Callable[[str], object] = float
+    dtype: object = float
+    refused: str = "column {name!r}: not a number: {cell!r}"
+
+
+def read_csv_columns(lines: Iterator[str], columns: Sequence[Column]
+                     ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The line numbers of the non-blank lines after a CSV's header, the
+    first being line 2, and their cells, one array per column.  Floats must
+    be finite and integers must fit the dtype.  ``lines`` is read once, in
+    blocks of ``_CHUNK_LINES`` converted a column at a time; a faulty block
+    is checked again line by line, and its first bad line raises
+    :class:`CsvParseError` naming it."""
+    chunks = []
+    for first in count(2, _CHUNK_LINES):
+        block = list(islice(lines, _CHUNK_LINES))
+        try:
+            offsets, values = _block_columns(block, columns)
+        except (ValueError, OverflowError):
+            _check_lines(block, first, columns)
+            raise  # the column parse refused what the line check accepts
+        chunks.append([offsets + first, *values])
+        if len(block) < _CHUNK_LINES:
+            break
+    line_nos, *values = [np.concatenate(column) for column in zip(*chunks)]
+    return line_nos, values
+
+
+def _block_columns(block: list[str], columns: Sequence[Column]):
+    """The offsets in ``block`` of its non-blank lines and their columns;
+    any fault raises ``ValueError`` or ``OverflowError`` without naming a
+    line."""
+    n = len(columns)
+    filled = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block)) == n - 1
+    if n == 1:  # a blank line has the one column's comma count too
+        filled &= np.fromiter(map(bool, map(str.strip, block)), bool, len(block))
+    offsets = np.flatnonzero(filled)
+    if len(offsets) < len(block):  # blank lines are skipped, any other line is a fault
+        if any(block[i].strip() for i in np.flatnonzero(~filled).tolist()):
             raise ValueError("wrong column count")
         block = [block[i] for i in offsets.tolist()]
-    m = len(block)
     cells = ",".join(block).split(",")
-    numbers = [np.fromiter(map(float, cells[k::6]), float, m) for k in (3, 4, 5)]
-    if not all(np.isfinite(column).all() for column in numbers):
+    values = [np.fromiter(map(column.convert, cells[k::n]), column.dtype, len(block))
+              for k, column in enumerate(columns)]
+    if not all(np.isfinite(v).all() for v in values if v.dtype.kind == "f"):
         raise ValueError("non-finite number")
-    return offsets, [np.fromiter(map(station, cells[0::6]), object, m),
-                     np.fromiter(map(day, cells[1::6]), np.int64, m).astype("datetime64[D]"),
-                     np.fromiter(map(int, cells[2::6]), np.int64, m), *numbers]
+    return offsets, values
 
 
-def _check_lines(block: list[str], first_line_no: int) -> None:
+def _check_lines(block: list[str], first_line_no: int, columns: Sequence[Column]) -> None:
     """Check ``block`` one line at a time, its first line numbered
     ``first_line_no``: the first bad line raises :class:`CsvParseError`
     naming it."""
@@ -180,28 +205,18 @@ def _check_lines(block: list[str], first_line_no: int) -> None:
         text = raw.rstrip("\n")
         if not text.strip():
             continue
-        parts = text.split(",")
-        if len(parts) != 6:
-            raise CsvParseError(line_no, f"expected 6 columns, got {len(parts)}")
-        if not parts[0].strip():
-            raise CsvParseError(line_no, "column 'station' is empty")
-        try:
-            _day(parts[1])
-        except ValueError as exc:
-            raise CsvParseError(line_no, f"column 'date': {exc}") from exc
-        try:
-            hour = int(parts[2])
-        except ValueError as exc:
-            raise CsvParseError(line_no, f"column 'hour': not an integer: {parts[2]!r}") from exc
-        if not -2 ** 63 <= hour < 2 ** 63:
-            raise CsvParseError(line_no, f"column 'hour': out of range: {parts[2]!r}")
-        for name, part in zip(("visibility_km", "wind_speed_mps", "altitude_m"), parts[3:]):
+        cells = text.split(",")
+        if len(cells) != len(columns):
+            raise CsvParseError(line_no, f"expected {len(columns)} columns, got {len(cells)}")
+        for (name, convert, dtype, refused), cell in zip(columns, cells):
             try:
-                value = float(part)
+                value = np.asarray(convert(cell), dtype)
             except ValueError as exc:
-                raise CsvParseError(line_no, f"column {name!r}: not a number: {part!r}") from exc
-            if not math.isfinite(value):
-                raise CsvParseError(line_no, f"column {name!r}: not finite: {part!r}")
+                raise CsvParseError(line_no, refused.format(name=name, cell=cell, exc=exc))
+            except OverflowError:
+                raise CsvParseError(line_no, f"column {name!r}: out of range: {cell!r}")
+            if value.dtype.kind == "f" and not np.isfinite(value):
+                raise CsvParseError(line_no, f"column {name!r}: not finite: {cell!r}")
 
 
 def write_visibility_csv(records: np.recarray) -> str:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_tree import reference_grow
+from test_link_budget import path_loss_penalty
 
 from foglink import adaboost, boosting, cli, forest, stacking, tree
 from foglink.cli import (
@@ -23,7 +25,8 @@ from foglink.cli import (
     load_config,
     main,
 )
-from foglink.dataset import parse_visibility_csv
+from foglink.atmosphere import OpticalPath, extinction_coefficient
+from foglink.dataset import CsvParseError, parse_visibility_csv
 from foglink.serialize import load_model, save_model
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
@@ -177,6 +180,21 @@ class TestLinkSweep:
                  for r in rows if r["fog_class"] == "light"}
         assert dense.keys() == light.keys()
         assert all(dense[k] > light[k] for k in dense)
+
+    def test_penalty_equals_closed_form(self, sweep_dir):
+        """Every penalty is the extra path loss at the BER wavelength, to a
+        few ulps; the fixture changes no key the penalty reads."""
+        cfg = RunConfig()
+        def beta(visibility_km):
+            return extinction_coefficient(
+                OpticalPath(cfg.ber_wavelength_nm, 1.0, visibility_km), cfg.model())
+        rows = read_csv(sweep_dir / "power_penalty_vs_range.csv")
+        assert len(rows) == 80  # 20 ranges, 4 fog classes
+        for r in rows:
+            want, tolerance = path_loss_penalty(
+                beta(cfg.clear_visibility_km), beta(float(r["fog_visibility_km"])),
+                float(r["range_km"]))
+            assert abs(float(r["power_penalty_db"]) - want) <= tolerance
 
     def test_capacity_recomputes_from_snr_column(self, sweep_dir):
         from foglink.link_budget import channel_capacity, db_to_linear
@@ -590,6 +608,31 @@ _NOT_A_NUMBER = st.sampled_from(["abc", "", "1.2.3", "0x10", "--1"])
 _NOT_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
 
 
+def reference_feature_rows(text, names):
+    """The line loop ``predict`` parsed with before the block reader, kept as
+    its reference in the reader's messages: the rows of a feature CSV's
+    body, split only at newlines; the first bad line raises
+    ``CsvParseError`` naming it."""
+    rows = []
+    for line_no, line in enumerate(text.split("\n")[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise CsvParseError(line_no, f"expected {len(names)} columns, got {len(cells)}")
+        row = []
+        for name, cell in zip(names, cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvParseError(line_no, f"column {name!r}: not a number: {cell!r}")
+            if not math.isfinite(value):
+                raise CsvParseError(line_no, f"column {name!r}: not finite: {cell!r}")
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
 @pytest.fixture(scope="module")
 def boosted_dir(tmp_path_factory):
     """A directory holding a three-feature AdaBoost model, ``adbr.json``."""
@@ -696,8 +739,8 @@ class TestPredict:
             code = main(["predict", "--model", str(boosted_dir / "adbr.json"),
                          "--features", str(feats), "--out", str(out)])
         try:
-            rows = cli._feature_rows(text.splitlines(), 3)
-        except cli.CsvParseError as exc:
+            rows = reference_feature_rows(text, ["a", "b", "c"])
+        except CsvParseError as exc:
             assert (code, err.getvalue()) == (EXIT_PARSE, f"parse error: {exc}\n")
             assert not out.exists()
             return
@@ -708,6 +751,34 @@ class TestPredict:
         cli._write_csv(reference, ["a", "b", "c", "prediction"],
                        (row + [p] for row, p in zip(rows, predictions)))
         assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("line_no", [4097, 4098], ids=["last-of-block-1", "first-of-block-2"])
+    def test_fault_at_a_block_boundary_names_its_line(self, tree_file, tmp_path, capsys,
+                                                      line_no):
+        path, _, _ = tree_file
+        lines = ["u,v"] + ["0.5,0.25"] * 5000
+        lines[line_no - 1] = "0.5,x"
+        text = "\n".join(lines) + "\n"
+        feats, out = tmp_path / "feats.csv", tmp_path / "pred.csv"
+        feats.write_text(text)
+        with pytest.raises(CsvParseError) as want:
+            reference_feature_rows(text, ["u", "v"])
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {want.value}\n" == (
+            f"parse error: line {line_no}: column 'v': not a number: 'x'\n")
+        assert not out.exists()
+
+    def test_one_column_file_skips_blank_lines(self, tmp_path):
+        """With one column a blank line has a row's comma count, and is
+        still skipped."""
+        X = np.array([[0.0], [1.0], [2.0]])
+        path, feats, out = tmp_path / "tree.json", tmp_path / "feats.csv", tmp_path / "pred.csv"
+        save_model(fit_regression_tree(LabeledTable(X, X[:, 0] * 10, ("u",)), 1), path)
+        feats.write_text("u\n0.0\n\n  \n2.0\n")
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == "u,prediction\n0.0,0.0\n2.0,20.0\n"
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda p: p["left"].__setitem__(0, 0), "children in (0,"),
@@ -896,16 +967,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "parse error: line 401: column 'visibility_km': not finite: 'nan'\n")
 
-    def test_only_newlines_end_csv_lines(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_only_newlines_end_csv_lines(self, tmp_path, capsys, command):
         """The CSV is read as a stream of lines, which only a newline ends
         (a CRLF or CR ending reads as one): a form feed or U+2028 inside a row
         does not start a new line, so later lines keep their numbers."""
         bad = tmp_path / "bad.csv"
-        bad.write_text("station,date,hour,visibility_km,wind_speed_mps,altitude_m\r\n"
-                       "A,2015-01-01,8,1.0,1.0,1.0\f\r\n"
-                       "A,2015-01-01,8,1.0,1.0,1.0\u2028\n"
-                       "A,2015-01-02,8,nan,1.0,1.0\n", encoding="utf-8")
-        assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+        lines = ["station,date,hour,visibility_km,wind_speed_mps,altitude_m\r\n",
+                 "A,2015-01-01,8,1.0,1.0,1.0\f\r\n",
+                 "A,2015-01-01,8,1.0,1.0,1.0\u2028\n",
+                 "A,2015-01-02,8,nan,1.0,1.0\n"]
+        argv = ["train", "--data", str(bad), "--out-dir", str(tmp_path)]
+        if command == "predict":  # the three number columns, for a model of them
+            lines = [line.split(",", 3)[3] for line in lines]
+            model = tmp_path / "tree.json"
+            names = tuple(lines[0].strip().split(","))
+            save_model(fit_regression_tree(LabeledTable(np.eye(3), np.arange(3.0), names), 1),
+                       model)
+            argv = ["predict", "--model", str(model), "--features", str(bad),
+                    "--out", str(tmp_path / "pred.csv")]
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(argv) == EXIT_PARSE
         assert capsys.readouterr().err == (
             "parse error: line 4: column 'visibility_km': not finite: 'nan'\n")
 

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from foglink.atmosphere import DB_PER_NEPER
+from foglink.atmosphere import (
+    DB_PER_NEPER,
+    AttenuationModel,
+    OpticalPath,
+    extinction_coefficient,
+)
 from foglink.link_budget import (
     PLANCK_JS,
     SPEED_OF_LIGHT_M_PER_S,
@@ -304,6 +309,17 @@ class TestRequiredSnr:
                 required_snr_for_ber(OokScheme.NRZ, bad)
 
 
+def path_loss_penalty(clear_beta, fog_beta, range_km):
+    """The penalty's closed form under the geometric channel, the extra path
+    loss (alpha_fog - alpha_clear)*L with alpha = DB_PER_NEPER*beta, and its
+    tolerance: four ulps of each path-loss term and of 10 dB, the last for
+    rounding the gains, their ratio and its logarithm."""
+    fog_loss = DB_PER_NEPER * fog_beta * range_km
+    clear_loss = DB_PER_NEPER * clear_beta * range_km
+    return fog_loss - clear_loss, 4 * (np.spacing(fog_loss) + np.spacing(clear_loss)
+                                       + np.spacing(10.0))
+
+
 class TestPowerPenalty:
     def test_zero_when_no_extra_fog(self):
         cfg = TransceiverConfig()
@@ -313,6 +329,43 @@ class TestPowerPenalty:
         cfg = TransceiverConfig()
         penalty = power_penalty_db(cfg, NOISE, 0.1, 1.0, 2.0, 1e-9)
         assert penalty == pytest.approx(DB_PER_NEPER * 0.9 * 2.0, abs=0.05)
+
+    @pytest.mark.parametrize("target_ber", [1e-3, 1e-9, 1e-12])
+    def test_equals_closed_form(self, target_ber):
+        """Default config, ranges 0.1-2.9 km, light to dense fog: the
+        required power and the geometric factor cancel."""
+        ranges = np.arange(0.1, 3.0, 0.2)[:, None]
+        clear_beta = extinction_coefficient(OpticalPath(1550.0, 1.0, 10.0),
+                                            AttenuationModel.KRUSE)
+        fog_beta = extinction_coefficient(OpticalPath(1550.0, 1.0, np.array([0.2, 0.5, 1.0])),
+                                          AttenuationModel.KRUSE)
+        penalty = power_penalty_db(TransceiverConfig(), NOISE, clear_beta, fog_beta, ranges,
+                                   target_ber)
+        want, tolerance = path_loss_penalty(clear_beta, fog_beta, ranges)
+        assert (abs(penalty - want) <= tolerance).all()
+
+    @settings(deadline=None)
+    @given(range_km=st.floats(0.05, 10.0), clear=st.floats(1.0, 50.0),
+           fog=st.floats(0.2, 1.0), wavelength_nm=st.floats(700.0, 1600.0),
+           model=st.sampled_from(AttenuationModel), scheme=st.sampled_from(OokScheme),
+           target_ber=st.floats(1e-15, 0.4), apertures=st.tuples(*[st.floats(1e-3, 1.0)] * 3),
+           noise=st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 1e6), st.floats(0.0, 1e-6)))
+    def test_depends_on_path_loss_alone(self, range_km, clear, fog, wavelength_nm, model,
+                                        scheme, target_ber, apertures, noise):
+        """Neither the BER target, the scheme, the receiver noise nor the
+        apertures and divergence move the penalty off the extra path loss."""
+        tx_aperture, rx_aperture, divergence = apertures
+        cfg = TransceiverConfig(tx_aperture_m=tx_aperture, rx_aperture_m=rx_aperture,
+                                divergence_mrad=divergence)
+        responsivity, load, dark = noise
+        receiver = ReceiverNoiseConfig(responsivity_a_per_w=responsivity,
+                                       load_resistance_ohm=load, dark_current_a=dark)
+        clear_beta, fog_beta = (extinction_coefficient(
+            OpticalPath(wavelength_nm, range_km, visibility), model) for visibility in (clear, fog))
+        penalty = power_penalty_db(cfg, receiver, clear_beta, fog_beta, range_km, target_ber,
+                                   scheme)
+        want, tolerance = path_loss_penalty(clear_beta, fog_beta, range_km)
+        assert abs(penalty - want) <= tolerance
 
     def test_denser_fog_pays_more_at_every_range(self):
         cfg = TransceiverConfig()
