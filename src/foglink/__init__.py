@@ -22,7 +22,6 @@ from .link_budget import (
     power_penalty_db,
     received_power_aperture,
     received_power_geometric,
-    required_snr_for_ber,
     snr_budget_db,
 )
 from .metrics import MetricReport, compute_metrics
@@ -48,7 +47,6 @@ __all__ = [
     "power_penalty_db",
     "received_power_aperture",
     "received_power_geometric",
-    "required_snr_for_ber",
     "snr_budget_db",
     "MetricReport",
     "compute_metrics",

@@ -54,7 +54,6 @@ from .link_budget import (
     ReceiverNoiseConfig,
     RfBudgetInputs,
     TransceiverConfig,
-    UnattainableBerError,
     achievable_data_rate,
     ber,
     channel_capacity,
@@ -127,7 +126,6 @@ class RunConfig:
     fog_thick_km: float = 0.2
     fog_moderate_km: float = 0.5
     fog_light_km: float = 0.77
-    target_ber: float = 1e-9
     link_range_km: float = 1.0
     # learner pipeline
     sample_records: int = 250
@@ -361,12 +359,7 @@ def cmd_link_sweep(args) -> int:
         OpticalPath(cfg.ber_wavelength_nm, 1.0, cfg.clear_visibility_km), model)
     fog_beta = extinction_coefficient(
         OpticalPath(cfg.ber_wavelength_nm, 1.0, fog_visibilities), model)
-    try:
-        penalty = power_penalty_db(tx, noise, clear_beta, fog_beta, ranges, cfg.target_ber)
-    except UnattainableBerError as exc:
-        row, fog = divmod(exc.index, len(names))
-        raise UnattainableBerError(
-            f"fog class {names[fog]} at range {ranges.item(row)} km: {exc}") from exc
+    penalty = power_penalty_db(tx, noise, clear_beta, fog_beta, ranges)
     curves["power_penalty_vs_range.csv"] = (
         ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"],
         (ranges, names, fog_visibilities, penalty))
@@ -541,8 +534,9 @@ def cmd_evaluate(args) -> int:
         bad = ["source.kind ('csv')"]
     else:
         bad = [] if isinstance(source.get("path"), str) else ["source.path"]
+    # exact types: bool is an int subclass, and a seed of true draws what seed 1 draws
     bad += [key for key, typ in (("config", dict), ("seed", int), ("n_rows", int),
-                                 ("models", dict)) if not isinstance(manifest[key], typ)]
+                                 ("models", dict)) if type(manifest[key]) is not typ]
     if isinstance(models, dict):
         bad += [f"models.{name}.file" for name, entry in sorted(models.items())
                 if not (isinstance(entry, dict) and isinstance(entry.get("file"), str))]
@@ -669,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TrainingError, AdaBoostTrainingError, StackingError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (ValidationError, ValueError, UnattainableBerError) as exc:
+    except ValueError as exc:  # ValidationError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # a path that cannot be read, or written as asked

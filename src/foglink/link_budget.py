@@ -3,29 +3,28 @@
 Covers received optical power (two beam-geometry variants), achievable data
 rate from photon energy, an RF-style SNR budget in dB, the electrical SNR of
 a PIN receiver (shot + thermal noise), Shannon capacity, OOK bit-error rates
-and the transmit-power penalty needed to hold a target BER under fog.
+and the transmit-power penalty that fog costs over clear air.
 
 Conventions: optical powers in watts, apertures in metres, divergence in
 mrad, ranges in km (mrad * km = m, so beam footprints come out in metres),
 specific attenuation in dB/km unless a ``beta`` name marks km^-1.
 
-Every function except :func:`required_snr_for_ber` takes scalars or numpy
-arrays that broadcast against each other (the config dataclasses may hold
-arrays too); a scalar in gives a float out.  Both go through the same numpy
-ufuncs, so a scalar call equals the matching element of an array call bit
-for bit.  ``ber`` applies ``math.erfc``, which has no numpy counterpart,
-element by element.
+Every function takes scalars or numpy arrays that broadcast against each
+other (the config dataclasses may hold arrays too); a scalar in gives a
+float out.  Both go through the same numpy ufuncs, so a scalar call equals
+the matching element of an array call bit for bit.  ``ber`` applies
+``math.erfc``, which has no numpy counterpart, element by element.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import DB_PER_NEPER, _reject
+from .atmosphere import _reject, path_attenuation_db
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -39,18 +38,6 @@ class OokScheme(enum.IntEnum):
 
     NRZ = 0
     RZ = 1
-
-
-class UnattainableBerError(RuntimeError):
-    """Raised when no finite transmit power reaches the requested BER.
-
-    ``index`` is the flat (C-order) position of the first such point in the
-    broadcast result of an array call, and 0 for a scalar call.
-    """
-
-    def __init__(self, message: str, index: int = 0) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -231,70 +218,22 @@ def ber(scheme: OokScheme, snr_linear: float) -> float:
     return 0.5 * np.asarray(_erfc(np.sqrt(snr_linear) / scale), dtype=float)
 
 
-def required_snr_for_ber(scheme: OokScheme, target_ber: float) -> float:
-    """Smallest linear SNR whose BER is at or below the target (scalars only).
-
-    Solved by bisection on the NRZ curve to 1e-10 relative width; the RZ
-    value is exactly half the NRZ one, so it is derived rather than
-    re-solved, keeping the 3 dB identity exact.
-    """
-    if not 0.0 < target_ber < 0.5:
-        raise ValueError(f"target_ber must lie strictly in (0, 0.5), got {target_ber}")
-    lo, hi = 0.0, 1.0
-    while ber(OokScheme.NRZ, hi) > target_ber:
-        hi *= 2.0
-        if hi > 1e12:
-            raise UnattainableBerError(f"no SNR below 1e12 reaches BER {target_ber}")
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if ber(OokScheme.NRZ, mid) <= target_ber:
-            hi = mid
-        else:
-            lo = mid
-    return hi if scheme is OokScheme.NRZ else hi / 2.0
-
-
-def _received_power_for_snr(snr_linear: float, noise: ReceiverNoiseConfig) -> float:
-    # Positive root of the quadratic (R*P)^2 = snr * (shot(P) + thermal).
-    bw = noise.electrical_bandwidth_hz
-    shot_slope = ELECTRON_CHARGE_C * bw  # d(shot)/d(photocurrent) / 2
-    fixed = (2.0 * ELECTRON_CHARGE_C * noise.dark_current_a * bw
-             + 4.0 * BOLTZMANN_J_PER_K * noise.temperature_k * bw
-             / noise.load_resistance_ohm)
-    photocurrent = (snr_linear * shot_slope
-                    + np.sqrt(np.square(snr_linear * shot_slope) + snr_linear * fixed))
-    return photocurrent / noise.responsivity_a_per_w
-
-
 def power_penalty_db(cfg: TransceiverConfig, noise: ReceiverNoiseConfig,
                      clear_beta_per_km: float, fog_beta_per_km: float,
-                     range_km: float, target_ber: float,
-                     scheme: OokScheme = OokScheme.NRZ) -> float:
-    """Extra transmit power (dB) needed to hold the target BER under fog.
+                     range_km: float, target_ber: float = 1e-9) -> float:
+    """Extra transmit power (dB) that fog costs over clear air at a range.
 
-    Penalty = P_tx,req(fog) - P_tx,req(clear) in dB, where P_tx,req makes the
-    PIN electrical SNR reach the BER's required SNR through the geometric
-    received-power channel at the given range.  The required SNR is solved
-    once per call, however many points the arrays hold.
+    Through the geometric received-power channel, the transmit power that
+    holds any BER is the required received power over the channel gain.
+    That required power and the geometric factor cancel in the fog/clear
+    ratio, so the penalty is exactly the extra path loss
+    (alpha_fog - alpha_clear) * L dB; ``cfg``, ``noise`` and ``target_ber``
+    are not read.
     """
     _reject(clear_beta_per_km < 0,
             "clear_beta_per_km must be nonnegative, got {}", clear_beta_per_km)
     _reject(fog_beta_per_km < clear_beta_per_km,
             "fog_beta_per_km must be at least clear_beta_per_km")
     _reject(range_km <= 0, "range_km must be positive, got {}", range_km)
-
-    p_rx_req = _received_power_for_snr(required_snr_for_ber(scheme, target_ber), noise)
-    unit = replace(cfg, tx_power_w=1.0)
-    fog_gain = received_power_geometric(unit, DB_PER_NEPER * fog_beta_per_km, range_km)
-    clear_gain = received_power_geometric(unit, DB_PER_NEPER * clear_beta_per_km, range_km)
-    # a zero gain means the path loss underflowed: no finite power suffices
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        penalty = 10.0 * np.log10((p_rx_req / fog_gain) / (p_rx_req / clear_gain))
-    underflow = (fog_gain == 0.0) | (clear_gain == 0.0)
-    unattainable = underflow | ~np.isfinite(penalty)
-    if np.any(unattainable):
-        first = int(np.argmax(unattainable))
-        reason = (": the channel gain underflows to 0" if np.ravel(underflow)[first]
-                  else " at any finite power over this channel")
-        raise UnattainableBerError(f"BER {target_ber} not attainable{reason}", first)
-    return penalty
+    return (path_attenuation_db(fog_beta_per_km, range_km)
+            - path_attenuation_db(clear_beta_per_km, range_km))

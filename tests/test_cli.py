@@ -66,7 +66,7 @@ class TestConfig:
         assert cfg.rf_trees == 7
         assert cfg.wavelengths_nm == (850.0, 1550.0)
 
-    def test_unknown_keys_listed(self, tmp_path):
+    def test_unknown_keys_listed(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "rf_trees = 7\nbogus_key = 3\nworse = x\n")
         with pytest.raises(ValueError, match="bogus_key"):
             load_config(path)
@@ -77,6 +77,11 @@ class TestConfig:
         path = write_cfg(tmp_path, "tx_efficiency = 0.9\nrx_efficiency = 0.9\n")
         with pytest.raises(ValueError, match="unknown config keys: rx_efficiency, tx_efficiency$"):
             load_config(path)
+        # removed: no output depended on it
+        path = write_cfg(tmp_path, "target_ber = 1e-9\n")
+        assert main(["link-sweep", "--config", path, "--out-dir", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: unknown config keys: target_ber\n"
 
     def test_example_config_file_parses_to_defaults(self):
         assert load_config("configs/default.cfg") == RunConfig()
@@ -120,22 +125,29 @@ def sweep_dir(tmp_path_factory):
 
 
 class TestLinkSweep:
-    @pytest.mark.parametrize("config, message", [
-        ("attenuation_model = kim\n",                          # penalty not finite
-         "fog class dense at range 9.1 km: BER 1e-09 not attainable at any finite "
-         "power over this channel"),
-        ("attenuation_model = kim\nrange_step_km = 2.5\n",    # channel gain 0
-         "fog class dense at range 10.1 km: BER 1e-09 not attainable: the channel "
-         "gain underflows to 0"),
-    ])
-    def test_unattainable_penalty_exits_3_naming_fog_class_and_range(
-            self, tmp_path, capsys, config, message):
+    @pytest.mark.parametrize("config, n_ranges", [
+        ("attenuation_model = kim\n", 100),                          # ~3,000 dB at 9.1 km
+        ("attenuation_model = kim\nrange_step_km = 2.5\n", 5),      # gain 0 at 10.1 km
+    ], ids=["kim", "kim-to-10.1-km"])
+    def test_kim_penalty_is_the_extra_path_loss_at_every_range(self, tmp_path, config,
+                                                               n_ranges):
+        """Dense kim fog costs thousands of dB near 10 km, past where the
+        received power underflows to 0; the penalty stays finite and exact."""
         cfg = write_cfg(tmp_path, config)
         out = tmp_path / "out"
-        assert main(["link-sweep", "--config", cfg, "--out-dir", str(out)]) \
-            == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"validation error: {message}\n"
-        assert not list(out.glob("*"))  # every curve is checked before any is written
+        assert main(["link-sweep", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+        run = load_config(cfg)
+        def beta(visibility_km):
+            return extinction_coefficient(
+                OpticalPath(run.ber_wavelength_nm, 1.0, visibility_km), run.model())
+        rows = read_csv(out / "power_penalty_vs_range.csv")
+        assert len(rows) == 4 * n_ranges  # 4 fog classes
+        for r in rows:
+            penalty = float(r["power_penalty_db"])
+            assert math.isfinite(penalty)
+            assert penalty == path_loss_penalty(beta(run.clear_visibility_km),
+                                                beta(float(r["fog_visibility_km"])),
+                                                float(r["range_km"]))
 
     @pytest.mark.parametrize("config, message", [
         ("tx_power_w = nan\n", "tx_power_w"),
@@ -182,8 +194,8 @@ class TestLinkSweep:
         assert all(dense[k] > light[k] for k in dense)
 
     def test_penalty_equals_closed_form(self, sweep_dir):
-        """Every penalty is the extra path loss at the BER wavelength, to a
-        few ulps; the fixture changes no key the penalty reads."""
+        """Every penalty is the extra path loss at the BER wavelength; the
+        fixture changes no key the penalty reads."""
         cfg = RunConfig()
         def beta(visibility_km):
             return extinction_coefficient(
@@ -191,10 +203,9 @@ class TestLinkSweep:
         rows = read_csv(sweep_dir / "power_penalty_vs_range.csv")
         assert len(rows) == 80  # 20 ranges, 4 fog classes
         for r in rows:
-            want, tolerance = path_loss_penalty(
+            assert float(r["power_penalty_db"]) == path_loss_penalty(
                 beta(cfg.clear_visibility_km), beta(float(r["fog_visibility_km"])),
                 float(r["range_km"]))
-            assert abs(float(r["power_penalty_db"]) - want) <= tolerance
 
     def test_capacity_recomputes_from_snr_column(self, sweep_dir):
         from foglink.link_budget import channel_capacity, db_to_linear
@@ -518,6 +529,7 @@ class TestEvaluate:
                                            ({"kind": "synth", "days": 2, "stations": ["George"]},
                                             0, {"file": "m"}, "source.kind"),
                                            (csv, "x", {"file": "m"}, "seed"),
+                                           (csv, True, {"file": "m"}, "seed"),
                                            (csv, 0, {}, "models.m.file")):
             patched.write_text(json.dumps({"config": {}, "seed": seed, "source": source,
                                            "n_rows": 1, "models": {"m": model}}))
@@ -567,12 +579,13 @@ class TestEvaluate:
         manifest["config"]["bogus_key"] = 1
         manifest["config"]["rx_sensitivity_dbm"] = -40.0  # removed keys, as old manifests hold
         manifest["config"]["tx_efficiency"] = manifest["config"]["rx_efficiency"] = 0.8
+        manifest["config"]["target_ber"] = 1e-9
         patched = tmp_path / "manifest.json"
         patched.write_text(json.dumps(manifest))
         assert main(["evaluate", "--data", str(trained["data"]),
                      "--manifest", str(patched), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert ("unknown config keys: bogus_key, rx_efficiency, rx_sensitivity_dbm, "
-                "tx_efficiency") in capsys.readouterr().err
+                "target_ber, tx_efficiency") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["config file", "manifest"])

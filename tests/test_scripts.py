@@ -45,6 +45,17 @@ def test_link_sweeps_model_override_matches_config_key_and_cleans_up(tmp_path):
             != (tmp_path / "kruse" / "attenuation_sweep.csv").read_bytes())
 
 
+def test_link_sweeps_kim_runs_on_the_default_config(tmp_path):
+    """The documented `--model kim` run with no config file, whose range
+    grid takes dense kim fog to a penalty of thousands of dB."""
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_link_sweeps.py"),
+                          "--model", "kim", "--out-dir", str(out)],
+                         env=_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert len(list(out.iterdir())) == 6
+
+
 def test_qos_pipeline_prints_a_row_per_model(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_LEARNERS)
