@@ -8,9 +8,10 @@ node lists (``feature``, ``threshold``, ``left``, ``right``, ``value``, as in
 ``tree.RegressionTree``), networks row-major weight matrices with their
 input standardisation.  Stacked models embed their members' models whole.
 Dumps are compact and key-sorted, so identical models serialise to
-identical bytes.  Loading refuses non-finite numbers (``1e400`` included)
-and integers beyond the float range, ignores keys it does not read, and
-checks that every walk down a tree ends at a leaf.
+identical bytes.  Loading refuses non-finite numbers (``1e400`` included),
+integers beyond the float range and a non-integer where an integer belongs
+(a node's feature or child, ``n_features``, ``layer_sizes``), ignores keys
+it does not read, and checks that every walk down a tree ends at a leaf.
 """
 
 from __future__ import annotations
@@ -39,12 +40,19 @@ def _nodes(tree: RegressionTree) -> dict:
             "right": tree.right, "value": tree.value}
 
 
+def _int(value, field: str) -> int:
+    """``value``, which must be a JSON integer: ``int()`` would truncate a
+    float and take a boolean for 0 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"field {field!r}: need an integer, got {value!r}")
+    return value
+
+
 def _tree(d: dict, n_features: int, names) -> RegressionTree:
     """The tree whose node lists ``d`` holds.  A split's feature must index a
     column and its children must come after it, so no walk revisits a node."""
-    feature = [int(f) for f in d["feature"]]
-    left = [int(i) for i in d["left"]]
-    right = [int(i) for i in d["right"]]
+    feature, left, right = ([_int(i, field) for i in d[field]]
+                            for field in ("feature", "left", "right"))
     threshold = [float(t) for t in d["threshold"]]
     value = [float(v) for v in d["value"]]
     n = len(feature)
@@ -104,30 +112,33 @@ def model_from_dict(d: dict) -> AnyModel:
     kind = d.get("model")
     names = tuple(d["feature_names"]) if d.get("feature_names") is not None else None
     if kind == "regression_tree":
-        return _tree(d, int(d["n_features"]), names)
+        return _tree(d, _int(d["n_features"], "n_features"), names)
     if kind == "random_forest":
-        trees = [_tree(n, int(d["n_features"]), names) for n in d["trees"]]
-        return RandomForestModel(trees=trees, oob_error=d["oob_error"],
-                                 n_features=int(d["n_features"]), feature_names=names)
+        n_features = _int(d["n_features"], "n_features")
+        return RandomForestModel(trees=[_tree(n, n_features, names) for n in d["trees"]],
+                                 oob_error=d["oob_error"], n_features=n_features,
+                                 feature_names=names)
     if kind == "gradient_boost":
-        trees = [_tree(n, int(d["n_features"]), names) for n in d["trees"]]
-        return GradientBoostModel(init_value=float(d["init_value"]), trees=trees,
+        n_features = _int(d["n_features"], "n_features")
+        return GradientBoostModel(init_value=float(d["init_value"]),
+                                  trees=[_tree(n, n_features, names) for n in d["trees"]],
                                   learning_rate=float(d["learning_rate"]),
-                                  n_features=int(d["n_features"]), feature_names=names)
+                                  n_features=n_features, feature_names=names)
     if kind == "adaboost":
-        learners = [_tree(n, int(d["n_features"]), names) for n in d["learners"]]
-        return AdaBoostModel(weak_learners=learners,
+        n_features = _int(d["n_features"], "n_features")
+        return AdaBoostModel(weak_learners=[_tree(n, n_features, names) for n in d["learners"]],
                              alphas=[float(a) for a in d["alphas"]],
-                             n_features=int(d["n_features"]), feature_names=names,
+                             n_features=n_features, feature_names=names,
                              round_errors=d.get("round_errors"))
     if kind == "stacked":
         specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]),
                                   name=s.get("name")) for s in d["specs"])
         return StackedModel(final_base_learners=[model_from_dict(m) for m in d["base_models"]],
                             weights=np.asarray(d["weights"], dtype=float), specs=specs,
-                            n_features=int(d["n_features"]), feature_names=names)
+                            n_features=_int(d["n_features"], "n_features"),
+                            feature_names=names)
     if kind == "mlp":
-        return MLPModel(layer_sizes=tuple(int(s) for s in d["layer_sizes"]),
+        return MLPModel(layer_sizes=tuple(_int(s, "layer_sizes") for s in d["layer_sizes"]),
                         weights=[np.asarray(w, dtype=float) for w in d["weights"]],
                         biases=[np.asarray(b, dtype=float) for b in d["biases"]],
                         hidden_activation=ActivationKind(d["hidden_activation"]),

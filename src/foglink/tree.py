@@ -21,7 +21,8 @@ one a per-node sort and a recomputation for every feature would give, bit for
 bit.
 
 Every fit grows one depth at a time: all open nodes of a depth are searched
-in one batch, and the nodes are numbered afterwards in depth-first order.  A
+in one batch, and the nodes are numbered as they are made, so a depth's
+nodes follow the previous depth's and a split's children sit side by side.  A
 forest member searches ``mtry`` features per node, drawn from a key the node
 carries: a child's key hashes its parent's key and side, and a node draws
 the features of the smallest hashes of its key and the feature index (a
@@ -40,7 +41,6 @@ node alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import isnan
 from typing import NamedTuple, Optional, Sequence
 
@@ -184,12 +184,13 @@ class _Fit(NamedTuple):
     allowance: float  # see _underflow_allowance
 
 
-def _scan(fit: _Fit, sorted_rows: np.ndarray, sizes: list[int], features: np.ndarray) -> list:
+def _scan(fit: _Fit, sorted_rows: np.ndarray, starts: list[int], sizes: list[int],
+          features: np.ndarray) -> list:
     """Scan a batch of nodes for each candidate feature's best split.
 
-    The nodes lie end to end in ``sorted_rows``, ``sizes`` rows each (at
-    least two): ``sorted_rows[f]`` holds each node's rows in stable ascending
-    order of ``fit.columns[f]``.  Row ``i`` of ``features`` (nodes x c)
+    Node ``i`` holds the ``sizes[i]`` rows (at least two) from column
+    ``starts[i]`` of ``sorted_rows``: ``sorted_rows[f]`` holds them in stable
+    ascending order of ``fit.columns[f]``.  Row ``i`` of ``features`` (nodes x c)
     holds node ``i``'s candidate features.
     Returns, per node, four lists over its candidates: the scanned squared
     error of each feature's best split, the sorted values ``lo`` and ``hi``
@@ -207,7 +208,6 @@ def _scan(fit: _Fit, sorted_rows: np.ndarray, sizes: list[int], features: np.nda
         else:
             blocks.append([node])
             width, padding = sizes[node], 0
-    starts = list(accumulate(sizes, initial=0))
     found = [None] * len(sizes)
     for block in blocks:
         b, m = len(block), [sizes[node] for node in block]
@@ -335,110 +335,77 @@ def _draw(keys: np.ndarray, n_features: int, mtry: int) -> np.ndarray:
     return np.sort(hashes.argsort(axis=1, kind="stable")[:, :mtry], axis=1)
 
 
-def _grow_by_level(fit: _Fit, order, min_leaf_size, max_depth, mtry, key):
-    """The node lists and (node, rows) of every leaf of a tree: all open nodes
-    of one depth are searched in one batch, then numbered in push/pop order.
-    With a root ``key`` (a one-entry uint64 array) each node searches the
-    ``mtry`` features its own key draws; without one, every feature."""
-    y, k, stride = fit.y, fit.columns.shape[0], fit.columns.shape[1]
-    # by creation number: (feature, threshold, left child's number) of each
-    # split, and the rows of each leaf; the right child's number follows
-    splits, leaf_rows = {}, {}
-    # the open nodes of one depth, end to end as _scan takes them, and their keys
-    made, sizes, rows, sorted_rows, keys = [0], [y.size], np.arange(y.size), order, key
-    depth, count = 0, 1
-    if (max_depth is not None and depth >= max_depth
-            or not _open(y, rows, sizes, min_leaf_size)[0]):
-        made, leaf_rows[0] = [], rows
-    on_left = np.zeros(y.size, dtype=bool)
-    while made:
-        counts = np.array(sizes)
-        starts = counts.cumsum() - counts
-        node_rows = [rows[a:a + size] for a, size in zip(starts.tolist(), sizes)]
-        features = (np.broadcast_to(np.arange(k), (len(made), k)) if keys is None
-                    else _draw(keys, k, mtry))
-        feature, threshold = zip(*_pick(fit, node_rows, features,
-                                        _scan(fit, sorted_rows, sizes, features)))
-        at = np.array(feature).repeat(counts)
-        goes_left = fit.columns.take(at * stride + rows) <= np.array(threshold).repeat(counts)
-        splitting = at >= 0
-        n_left = np.add.reduceat(goes_left, starts, dtype=np.intp).tolist()
-        # the next depth holds the left children, then the right ones
-        lefts, rights = [], []
-        for i, (node, size) in enumerate(zip(made, sizes)):
-            if feature[i] < 0:
-                leaf_rows[node] = node_rows[i]
-            else:
-                splits[node] = (feature[i], threshold[i], count)
-                lefts.append((0, i, count, n_left[i]))
-                rights.append((1, i, count + 1, size - n_left[i]))
-                count += 2
-        children = lefts + rights
-        child_rows = np.concatenate((rows[goes_left & splitting], rows[splitting > goes_left]))
-        child_sizes = [size for *_, size in children]
-        depth += 1
-        if max_depth is not None and depth >= max_depth:
-            grows = [False] * len(children)
-        else:
-            grows = _open(y, child_rows, child_sizes, min_leaf_size)
-        # whether each node's left and right child stays open
-        stays = [[False] * len(made), [False] * len(made)]
-        for (side, parent, child, size), a, grow in zip(children,
-                                                        accumulate(child_sizes, initial=0), grows):
-            if grow:
-                stays[side][parent] = True
-            else:
-                leaf_rows[child] = child_rows[a:a + size]
-        if not any(grows):
-            break
-        # gathers in order keep every feature's list sorted
-        on_left[rows] = goes_left
-        in_left = on_left.take(sorted_rows)
-        flat = sorted_rows.ravel()
-        sorted_rows = np.concatenate(
-            [flat.take(np.flatnonzero(side)).reshape(k, -1) for side in (
-                in_left & np.array(stays[0]).repeat(counts),
-                in_left < np.array(stays[1]).repeat(counts))], axis=1)
-        if keys is not None:
-            keys = np.concatenate(_child_keys(keys[np.array(feature) >= 0]))[np.array(grows)]
-        rows = child_rows[np.array(grows).repeat(child_sizes)]
-        made = [child for (_, _, child, _), grow in zip(children, grows) if grow]
-        sizes = [size for size, grow in zip(child_sizes, grows) if grow]
-    nodes = tuple([blank] for blank in _LEAF)
-    leaves = []
-    stack = [(0, 0)]  # (creation number, node), numbered in depth-first push/pop order
-    while stack:
-        made, node = stack.pop()
-        if made in splits:
-            feature, threshold, left = splits[made]
-            child = _split_leaf(nodes, node, feature, threshold)
-            stack += ((left, child), (left + 1, child + 1))
-        else:
-            leaves.append((node, leaf_rows[made]))
-    return nodes, leaves
-
-
 def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
           max_depth: Optional[int], mtry: Optional[int],
           rng: Optional[np.random.Generator]) -> tuple[list, ...]:
-    """The fitted tree's five node lists (see ``RegressionTree``)."""
+    """The fitted tree's five node lists (see ``RegressionTree``), grown one
+    depth at a time and numbered as they are made: the open nodes of a depth
+    are searched in one batch, and each split appends its two children.
+    With ``mtry`` below the feature count, each node searches the ``mtry``
+    features its own key draws, the root's key coming from ``rng``."""
     # Sort each column once.  A stable sort of the whole column, restricted
     # to a node's rows, orders them exactly as a stable sort of the node
     # alone would, because node rows stay in ascending index order.
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     # one pad column past the last row: -inf opens no boundary, and zero
     # moments add nothing to a sum
     moments = np.stack((w, w * y, w * y * y))
     fit = _Fit(np.concatenate((X.T, np.full((X.shape[1], 1), -np.inf)), axis=1), y, w,
                np.concatenate((moments, np.zeros((3, 1))), axis=1),
                _underflow_allowance(y, w))
-    key = (rng.integers(2 ** 64, size=1, dtype=np.uint64)
-           if mtry is not None and mtry < X.shape[1] else None)
-    nodes, leaves = _grow_by_level(fit, order, min_leaf_size, max_depth, mtry, key)
+    k, stride = X.shape[1], fit.columns.shape[1]
+    keys = (rng.integers(2 ** 64, size=1, dtype=np.uint64)
+            if mtry is not None and mtry < k else None)
+    nodes = tuple([blank] for blank in _LEAF)
     value = nodes[-1]
-    for node, rows in leaves:
-        ys, ws = y[rows], w[rows]
-        value[node] = float(np.dot(ws, ys) / ws.sum())
+    # the nodes of one depth, their rows end to end as _scan takes them
+    level, sizes, rows, depth = [0], [y.size], np.arange(y.size), 0
+    cap = np.inf if max_depth is None else max_depth
+    on_left = np.zeros(y.size, dtype=bool)
+    while level:
+        counts = np.array(sizes)
+        starts = counts.cumsum() - counts
+        node_rows = [rows[a:a + size] for a, size in zip(starts.tolist(), sizes)]
+        best = [(-1, 0.0)] * len(level)  # (feature, threshold) of each node's split
+        if depth < cap:
+            search = np.flatnonzero(_open(y, rows, sizes, min_leaf_size))
+            features = (np.broadcast_to(np.arange(k), (search.size, k)) if keys is None
+                        else _draw(keys[search], k, mtry))
+            scanned = _scan(fit, sorted_rows, starts[search].tolist(), counts[search].tolist(),
+                            features)
+            for i, split in zip(search.tolist(), _pick(fit, [node_rows[i] for i in search],
+                                                        features, scanned)):
+                best[i] = split
+        lefts = []
+        for node, (f, t), members in zip(level, best, node_rows):
+            if f < 0:
+                ys, ws = y[members], w[members]
+                value[node] = float(np.dot(ws, ys) / ws.sum())
+            else:
+                lefts.append(_split_leaf(nodes, node, f, t))
+        if not lefts:
+            break
+        feature, threshold = (np.array(column) for column in zip(*best))
+        splitting = feature >= 0
+        kept = splitting.repeat(counts)  # per row of the depth
+        goes_left = fit.columns.take(feature.repeat(counts) * stride + rows) \
+            <= threshold.repeat(counts)
+        n_left = np.add.reduceat(goes_left, starts, dtype=np.intp)
+        # the next depth holds the left children, then the right ones
+        on_left[rows] = goes_left
+        rows = np.concatenate((rows[goes_left & kept], rows[kept > goes_left]))
+        level = lefts + [left + 1 for left in lefts]
+        sizes = n_left[splitting].tolist() + (counts - n_left)[splitting].tolist()
+        depth += 1
+        if depth >= cap:
+            continue  # the next depth searches no node: it reads no sorted lists or keys
+        # gathers in order keep every feature's list sorted
+        in_left = on_left.take(sorted_rows)
+        flat = sorted_rows.ravel()
+        sorted_rows = np.concatenate([flat.take(np.flatnonzero(side)).reshape(k, -1)
+                                      for side in (in_left & kept, in_left < kept)], axis=1)
+        if keys is not None:
+            keys = np.concatenate(_child_keys(keys[splitting]))
     return nodes
 
 

@@ -66,31 +66,35 @@ def reference_grow(X, y, w, min_leaf_size: int, max_depth: Optional[int],
     if mtry is not None and mtry < n_features:
         key = rng.integers(2 ** 64, size=1, dtype=np.uint64)
     nodes = tuple([blank] for blank in _LEAF)
-    stack = [(0, np.arange(X.shape[0]), 0, key)]
-    while stack:
-        node, rows, depth, key = stack.pop()
-        ys = y[rows]
-        stop = (
-            rows.size <= min_leaf_size
-            or np.all(ys == ys[0])
-            or (max_depth is not None and depth >= max_depth)
-        )
-        if not stop:
-            if key is not None:
-                chosen = _draw(key, n_features, mtry)[0]
-            else:
-                chosen = np.arange(n_features)
-            found = _best_split(X[rows], ys, w[rows], chosen)
-            if found is None:
-                stop = True
-            else:
-                _, feature, threshold = found
-                child = _split_leaf(nodes, node, feature, threshold)
-                goes_left = X[rows, feature] <= threshold
-                left_key, right_key = (None, None) if key is None else _child_keys(key)
-                stack.append((child, rows[goes_left], depth + 1, left_key))
-                stack.append((child + 1, rows[~goes_left], depth + 1, right_key))
-        if stop:
-            ws = w[rows]
-            nodes[-1][node] = float(np.dot(ws, ys) / ws.sum())
+    # one depth at a time: the left children of a depth's splits, then the
+    # right ones, each list in the order of their parents
+    level, depth = [(0, np.arange(X.shape[0]), key)], 0
+    while level:
+        lefts, rights = [], []
+        for node, rows, key in level:
+            ys = y[rows]
+            stop = (
+                rows.size <= min_leaf_size
+                or np.all(ys == ys[0])
+                or (max_depth is not None and depth >= max_depth)
+            )
+            if not stop:
+                if key is not None:
+                    chosen = _draw(key, n_features, mtry)[0]
+                else:
+                    chosen = np.arange(n_features)
+                found = _best_split(X[rows], ys, w[rows], chosen)
+                if found is None:
+                    stop = True
+                else:
+                    _, feature, threshold = found
+                    child = _split_leaf(nodes, node, feature, threshold)
+                    goes_left = X[rows, feature] <= threshold
+                    left_key, right_key = (None, None) if key is None else _child_keys(key)
+                    lefts.append((child, rows[goes_left], left_key))
+                    rights.append((child + 1, rows[~goes_left], right_key))
+            if stop:
+                ws = w[rows]
+                nodes[-1][node] = float(np.dot(ws, ys) / ws.sum())
+        level, depth = lefts + rights, depth + 1
     return nodes

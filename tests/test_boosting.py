@@ -8,6 +8,7 @@ from test_tree import awkward_table
 from foglink import tree as tree_module
 from foglink.adaboost import fit_adaboost_r2
 from foglink.boosting import fit_gradient_boost
+from foglink.forest import fit_random_forest
 from foglink.serialize import model_to_dict
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
@@ -120,3 +121,28 @@ def test_adaboost_matches_reference_grower(seed, max_depth):
     data = awkward_table(seed, n=120)
     fast, reference = fit_both(lambda: fit_adaboost_r2(data, 8, 3, max_depth=max_depth))
     assert fast == reference
+
+
+def node_depths(tree):
+    """Each node's depth; a child's index is always above its parent's."""
+    depth = [0] * len(tree.feature)
+    for node, feature in enumerate(tree.feature):
+        if feature >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return depth
+
+
+@pytest.mark.parametrize("fit", [
+    lambda data: [fit_regression_tree(data, 3)],
+    lambda data: fit_gradient_boost(data, 4, 0.3, 3, max_depth=6).trees,
+    lambda data: fit_adaboost_r2(data, 4, 3, max_depth=5).weak_learners,
+    lambda data: fit_random_forest(data, 4, 3, 3, seed=2).trees,
+], ids=["tree", "gbr", "adbr", "rf"])
+def test_nodes_are_numbered_level_by_level(fit):
+    """Nodes are numbered as they are grown: a whole depth before the next,
+    and a split's two children side by side."""
+    for tree in fit(awkward_table(1, n=120)):
+        depth = node_depths(tree)
+        assert max(depth) >= 3 and depth == sorted(depth)
+        assert all(tree.right[node] == tree.left[node] + 1
+                   for node, feature in enumerate(tree.feature) if feature >= 0)

@@ -163,6 +163,40 @@ def test_deep_tree_round_trip(tmp_path):
     assert [clone.predict_row(x) for x in rows] == [model.predict_row(x) for x in rows]
 
 
+def depth_first(tree):
+    """``tree`` with its nodes numbered as earlier versions numbered them: a
+    split's two children side by side, and the right child's subtree
+    numbered before the left one's."""
+    old, left, right, stack = [0], [-1], [-1], [0]  # old[i]: node i's number in ``tree``
+    while stack:
+        node = stack.pop()
+        if tree.feature[old[node]] >= 0:
+            child = len(old)
+            old += [tree.left[old[node]], tree.right[old[node]]]
+            left[node], right[node] = child, child + 1
+            left += [-1, -1]
+            right += [-1, -1]
+            stack += [child, child + 1]
+    return RegressionTree([tree.feature[i] for i in old], [tree.threshold[i] for i in old],
+                          left, right, [tree.value[i] for i in old], tree.n_features,
+                          tree.feature_names)
+
+
+def test_depth_first_file_loads_and_predicts_the_same(tmp_path, data, grid):
+    """Files written when nodes were numbered depth-first need no migration:
+    the loader asks only that each child comes after its parent."""
+    model = fit_regression_tree(data, 1)
+    old = depth_first(model)
+    assert old.feature != model.feature and sorted(old.value) == sorted(model.value)
+    paths = tmp_path / "level.json", tmp_path / "depth_first.json"
+    save_model(model, paths[0])
+    save_model(old, paths[1])
+    level, depth = (load_model(path) for path in paths)
+    assert np.array_equal(depth.predict(grid), level.predict(grid))
+    assert [depth.predict_row(x) for x in grid] == [level.predict_row(x) for x in grid]
+    assert np.array_equal(level.predict(grid), model.predict(grid))
+
+
 # keys the files of earlier versions held that nothing reads
 OLD_KEYS = [(lambda d: fit_regression_tree(d, 2), {"min_leaf_size": 2}),
             (lambda d: fit_random_forest(d, 6, 2, 3, seed=1),
@@ -283,6 +317,32 @@ def test_out_of_range_number_is_refused(tmp_path, capsys, data, kind, literal, m
         field(payload)[0] = SENTINEL
     text = json.dumps(payload).replace(repr(SENTINEL), literal)
     code, err, path = predict_exit(tmp_path, text, capsys)
+    assert code == EXIT_VALIDATION
+    assert f"validation error: model file {path}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("tree", lambda p: p["feature"].__setitem__(0, 0.9),
+     "field 'feature': need an integer, got 0.9"),
+    ("tree", lambda p: p["left"].__setitem__(0, 1.7), "field 'left': need an integer, got 1.7"),
+    ("tree", lambda p: p["right"].__setitem__(0, True),
+     "field 'right': need an integer, got True"),
+    ("tree", lambda p: p.update(n_features=3.0), "field 'n_features': need an integer, got 3.0"),
+    ("forest", lambda p: p.update(n_features=True),
+     "field 'n_features': need an integer, got True"),
+    ("stacked", lambda p: p["base_models"][0]["left"].__setitem__(0, 1.0),
+     "field 'left': need an integer, got 1.0"),
+    ("mlp", lambda p: p["layer_sizes"].__setitem__(1, 4.5),
+     "field 'layer_sizes': need an integer, got 4.5")],
+    ids=["feature-float", "left-float", "right-bool", "n_features-float", "n_features-bool",
+         "stack-member-left", "layer_sizes-float"])
+def test_non_integer_field_is_refused(tmp_path, capsys, data, kind, edit, message):
+    """A float or boolean where an integer belongs exits 3 naming the file;
+    ``int()`` had taken 0.9 for feature 0 and true for node 1."""
+    payload = model_to_dict(KIND_FIELDS[kind][0](data))
+    edit(payload)
+    code, err, path = predict_exit(tmp_path, json.dumps(payload), capsys)
     assert code == EXIT_VALIDATION
     assert f"validation error: model file {path}: {message}" in err
     assert "Traceback" not in err
