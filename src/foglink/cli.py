@@ -22,7 +22,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import starmap
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,6 +42,7 @@ from .dataset import (
     CsvParseError,
     TransceiverSweep,
     build_qos_table,
+    csv_text,
     parse_visibility_csv,
     read_csv_columns,
     synthesize_dataset,
@@ -247,14 +247,6 @@ def load_config(path: Optional[str]) -> RunConfig:
     return _run_config(updates)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Rows of one cell per header column, each written as ``format(cell, "")``,
-    which is its ``str``: a Python float's ``repr``, and a cell of ``_rows``
-    as it is.  Every line is formatted in C."""
-    line = ",".join(["{}"] * len(header)).format
-    path.write_text("\n".join([",".join(header), *starmap(line, rows)]) + "\n")
-
-
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if step <= 0 or hi < lo:
         raise ValidationError(f"bad grid: min={lo}, max={hi}, step={step}")
@@ -267,18 +259,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _rows(*columns):
-    """CSV rows from columns that broadcast together, in C order.  Each value
-    becomes text once, at its column's own shape (``str`` of the Python
-    scalar, so a float's ``repr``); only then is the text broadcast."""
-    texts = []
-    for column in map(np.asarray, columns):
-        text = np.empty(column.shape, dtype=object)
-        text.ravel()[:] = list(map(str, column.ravel().tolist()))
-        texts.append(text)
-    return zip(*(text.ravel().tolist() for text in np.broadcast_arrays(*texts)))
-
-
 def cmd_attenuation_sweep(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
@@ -288,11 +268,10 @@ def cmd_attenuation_sweep(args) -> int:
         raise ValidationError("empty visibility or wavelength grid")
     lams = np.array(cfg.wavelengths_nm)
     path = OpticalPath(lams, 0.0, visibilities)
-    rows = _rows(visibilities, lams, particle_size_exponent(visibilities, model),
-                 extinction_coefficient(path, model), attenuation_db_per_km(path, model))
-    _write_csv(_out_dir(args) / "attenuation_sweep.csv",
-               ["visibility_km", "wavelength_nm", "q", "beta_per_km", "atten_db_per_km"],
-               rows)
+    (_out_dir(args) / "attenuation_sweep.csv").write_text(csv_text(
+        ["visibility_km", "wavelength_nm", "q", "beta_per_km", "atten_db_per_km"],
+        [visibilities, lams, particle_size_exponent(visibilities, model),
+         extinction_coefficient(path, model), attenuation_db_per_km(path, model)]))
     return EXIT_OK
 
 
@@ -366,7 +345,7 @@ def cmd_link_sweep(args) -> int:
 
     out = _out_dir(args)
     for name, (header, columns) in curves.items():
-        _write_csv(out / name, header, _rows(*columns))
+        (out / name).write_text(csv_text(header, columns))
     return EXIT_OK
 
 
@@ -515,7 +494,8 @@ def cmd_train(args) -> int:
         "failures": failures,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    _write_csv(out / "training_log.csv", ["model", "event", "step", "value"], log_rows)
+    log = np.array(log_rows, dtype=object).reshape(-1, 4)  # no rows when every fit failed
+    (out / "training_log.csv").write_text(csv_text(["model", "event", "step", "value"], log.T))
     return EXIT_TRAINING if failures else EXIT_OK
 
 
@@ -563,24 +543,21 @@ def cmd_evaluate(args) -> int:
             str(base / models[name]["file"]) for name in missing))
 
     groups = {"all": np.arange(test.table.n_rows)}
-    for station in sorted(set(test.stations.tolist())):
-        groups[station] = np.nonzero(test.stations == station)[0]
-    metric_rows, prediction_rows = [], []
-    for name in sorted(models):
-        model = load_model(base / models[name]["file"])
-        predicted = model.predict(test.table.features)
-        for location, idx in sorted(groups.items()):
-            report = compute_metrics(test.table.targets[idx], predicted[idx])
-            metric_rows.append((name, location, report.n, report.mse, report.mae,
-                                "" if report.mape is None else report.mape,
-                                report.rmse,
-                                "" if report.r2 is None else report.r2))
-        prediction_rows.extend(_rows(np.array(name), test.stations,
-                                     np.arange(test.table.n_rows), test.table.targets,
-                                     predicted))
-    _write_csv(out / "metrics.csv", METRIC_HEADER, metric_rows)
-    _write_csv(out / "predictions.csv",
-               ["model", "location", "row", "actual", "predicted"], prediction_rows)
+    groups.update((s, np.nonzero(test.stations == s)[0]) for s in set(test.stations.tolist()))
+    names, locations = sorted(models), sorted(groups)
+    predicted = np.reshape([load_model(base / models[name]["file"]).predict(test.table.features)
+                            for name in names], (len(names), test.table.n_rows))
+    # model-major metric rows; a MAPE or R² without a value is an empty cell
+    reports = [compute_metrics(test.table.targets[groups[location]], p[groups[location]])
+               for p in predicted for location in locations]
+    values = ([getattr(report, key.lower()) for report in reports] for key in METRIC_HEADER[2:])
+    (out / "metrics.csv").write_text(csv_text(METRIC_HEADER, [
+        np.repeat(names, len(locations)), locations * len(names),
+        *([("" if v is None else v) for v in column] for column in values)]))
+    (out / "predictions.csv").write_text(csv_text(
+        ["model", "location", "row", "actual", "predicted"],
+        [np.array(names)[:, None], test.stations, np.arange(test.table.n_rows),
+         test.table.targets, predicted]))
     return EXIT_OK
 
 
@@ -604,8 +581,7 @@ def cmd_predict(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     X = np.column_stack(columns)
     predictions = model.predict(X) if len(X) else np.empty(0)
-    # rows are zipped from the columns as they are written, never held as one matrix
-    _write_csv(out_path, expected + ["prediction"], zip(*X.T.tolist(), predictions.tolist()))
+    out_path.write_text(csv_text(expected + ["prediction"], [*columns, predictions]))
     return EXIT_OK
 
 

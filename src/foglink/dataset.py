@@ -11,6 +11,7 @@ budget.  The archive is one numpy record array (``visibility_records``)
 from the synthesizer and the parser to the writer and the table build.
 ``read_csv_columns`` reads the archive's body and ``predict``'s feature
 rows alike: a stream of lines, which only a newline ends, in blocks.
+``csv_text`` writes every CSV the program outputs, the archive included.
 """
 
 from __future__ import annotations
@@ -220,19 +221,35 @@ def _check_lines(block: list[str], first_line_no: int, columns: Sequence[Column]
 
 
 def write_visibility_csv(records: np.recarray) -> str:
-    """The CSV text of ``records``, written a column at a time: floats as
-    their shortest round-trip ``repr``, dates in ISO form.  Stations, dates,
-    hours and altitudes repeat, so each distinct one is formatted once."""
-    def once(values: list) -> Iterable[str]:
-        text = {value: str(value) for value in set(values)}
-        return map(text.__getitem__, values)
+    """The CSV text of ``records``, one column per field, by :func:`csv_text`."""
+    return csv_text(CSV_HEADER.split(","), [records[name] for name in records.dtype.names])
 
-    columns = (records.station.tolist(), *map(once, (records.date.tolist(),
-                                                       records.hour.tolist())),
-               *(map(repr, records[name].tolist())
-                 for name in ("visibility_km", "wind_speed_mps")),
-               once(records.altitude_m.tolist()))
-    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """The CSV text of ``columns``, which broadcast together, one line per
+    element in C order: the writer paired with :func:`read_csv_columns`.  A
+    cell is its value's ``str``, so a float's shortest round-trip ``repr``.
+    In each block of ``_CHUNK_LINES`` lines a numpy column's distinct values,
+    told apart by their bits (``-0.0`` from ``0.0``), are formatted once; any
+    other column holds Python objects, each ``str``-ed where it stands."""
+    columns = [column if isinstance(column, np.ndarray) else np.asarray(column, dtype=object)
+               for column in columns]
+    grid = np.broadcast(*columns)
+    cells = [np.broadcast_to(column, grid.shape).flat for column in columns]
+    lines = [",".join(header)]
+    for start in range(0, grid.size, _CHUNK_LINES):
+        texts = (_texts(column[start:start + _CHUNK_LINES]) for column in cells)
+        lines += map(",".join, zip(*texts))
+    return "\n".join(lines) + "\n"
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The ``str`` of each of ``values``, each distinct number, date or string once."""
+    if values.dtype == object:
+        return list(map(str, values.tolist()))
+    keys = values.view(f"u{values.itemsize}") if values.dtype.kind in "fmM" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.frompyfunc(str, 1, 1)(distinct.view(values.dtype))[inverse].tolist()
 
 
 @dataclass(frozen=True)

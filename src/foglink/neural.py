@@ -169,9 +169,7 @@ class TrainResult:
     model: MLPModel
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
-    train_rows: np.ndarray = None
-    val_rows: np.ndarray = None
-    test_rows: np.ndarray = None
+    train_rows: np.ndarray = None  # acceptance criterion 09 fits on these rows
 
 
 def _mse(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -198,10 +196,10 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
     """Mini-batch gradient descent on mean squared error.
 
     Rows are shuffled once and split 70/15/15 into training, validation and
-    test rows; the test rows are only reported, never used.  Input
-    standardisation is fitted on the training rows only.  With a positive
-    patience, training stops after that many epochs without validation
-    improvement and the best-validation parameters are restored.
+    test rows; the test rows are never used.  Input standardisation is
+    fitted on the training rows only.  With a positive patience, training
+    stops after that many epochs without validation improvement and the
+    best-validation parameters are restored.
     """
     if data.n_rows < 1:
         raise ValueError("cannot train on an empty table")
@@ -211,7 +209,7 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
 
     rng = np.random.default_rng(cfg.seed)
     # largest-remainder rounding gives the 0.7 share a row whenever there is one
-    train_rows, val_rows, test_rows = split_indices(data.n_rows, (0.7, 0.15, 0.15), rng)
+    train_rows, val_rows, _ = split_indices(data.n_rows, (0.7, 0.15, 0.15), rng)
     n_train = len(train_rows)
 
     X_train = data.features[train_rows]
@@ -225,8 +223,7 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
     std = X_train.std(axis=0)
     fitted.x_std = np.where(std > 0, std, 1.0)
 
-    result = TrainResult(model=fitted, train_rows=train_rows,
-                         val_rows=val_rows, test_rows=test_rows)
+    result = TrainResult(model=fitted, train_rows=train_rows)
     best_val = np.inf
     best_params = None
     stale_epochs = 0

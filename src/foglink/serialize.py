@@ -10,8 +10,9 @@ input standardisation.  Stacked models embed their members' models whole.
 Dumps are compact and key-sorted, so identical models serialise to
 identical bytes.  Loading refuses non-finite numbers (``1e400`` included),
 integers beyond the float range and a non-integer where an integer belongs
-(a node's feature or child, ``n_features``, ``layer_sizes``), ignores keys
-it does not read, and checks that every walk down a tree ends at a leaf.
+(a node's feature or child, ``n_features``, ``layer_sizes``), feature
+names that are not null or one string per input, ignores keys it does not
+read, and checks that every walk down a tree ends at a leaf.
 """
 
 from __future__ import annotations
@@ -106,47 +107,55 @@ def model_to_dict(model: AnyModel) -> dict:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
+def _feature_names(d: dict, n_inputs: int):
+    """The ``feature_names`` of ``d``: null, or one string per input."""
+    names = d.get("feature_names")
+    if names is not None and not (isinstance(names, list) and len(names) == n_inputs
+                                  and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"field 'feature_names': need null or a list of {n_inputs} "
+                         f"strings, got {names!r}")
+    return None if names is None else tuple(names)
+
+
 def model_from_dict(d: dict) -> AnyModel:
     if not isinstance(d, dict):
         raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     kind = d.get("model")
-    names = tuple(d["feature_names"]) if d.get("feature_names") is not None else None
+    if kind == "mlp":
+        model = MLPModel(layer_sizes=tuple(_int(s, "layer_sizes") for s in d["layer_sizes"]),
+                         weights=[np.asarray(w, dtype=float) for w in d["weights"]],
+                         biases=[np.asarray(b, dtype=float) for b in d["biases"]],
+                         hidden_activation=ActivationKind(d["hidden_activation"]),
+                         output_activation=ActivationKind(d["output_activation"]),
+                         x_mean=np.asarray(d["x_mean"], dtype=float),
+                         x_std=np.asarray(d["x_std"], dtype=float))
+        model.feature_names = _feature_names(d, model.layer_sizes[0])
+        return model
+    if kind not in ("regression_tree", "random_forest", "gradient_boost", "adaboost", "stacked"):
+        raise ValueError(f"unknown model tag {kind!r}")
+    n_features = _int(d["n_features"], "n_features")
+    names = _feature_names(d, n_features)
     if kind == "regression_tree":
-        return _tree(d, _int(d["n_features"], "n_features"), names)
+        return _tree(d, n_features, names)
     if kind == "random_forest":
-        n_features = _int(d["n_features"], "n_features")
         return RandomForestModel(trees=[_tree(n, n_features, names) for n in d["trees"]],
                                  oob_error=d["oob_error"], n_features=n_features,
                                  feature_names=names)
     if kind == "gradient_boost":
-        n_features = _int(d["n_features"], "n_features")
         return GradientBoostModel(init_value=float(d["init_value"]),
                                   trees=[_tree(n, n_features, names) for n in d["trees"]],
                                   learning_rate=float(d["learning_rate"]),
                                   n_features=n_features, feature_names=names)
     if kind == "adaboost":
-        n_features = _int(d["n_features"], "n_features")
         return AdaBoostModel(weak_learners=[_tree(n, n_features, names) for n in d["learners"]],
                              alphas=[float(a) for a in d["alphas"]],
                              n_features=n_features, feature_names=names,
                              round_errors=d.get("round_errors"))
-    if kind == "stacked":
-        specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]),
-                                  name=s.get("name")) for s in d["specs"])
-        return StackedModel(final_base_learners=[model_from_dict(m) for m in d["base_models"]],
-                            weights=np.asarray(d["weights"], dtype=float), specs=specs,
-                            n_features=_int(d["n_features"], "n_features"),
-                            feature_names=names)
-    if kind == "mlp":
-        return MLPModel(layer_sizes=tuple(_int(s, "layer_sizes") for s in d["layer_sizes"]),
-                        weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-                        biases=[np.asarray(b, dtype=float) for b in d["biases"]],
-                        hidden_activation=ActivationKind(d["hidden_activation"]),
-                        output_activation=ActivationKind(d["output_activation"]),
-                        x_mean=np.asarray(d["x_mean"], dtype=float),
-                        x_std=np.asarray(d["x_std"], dtype=float),
-                        feature_names=names)
-    raise ValueError(f"unknown model tag {kind!r}")
+    specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]), name=s.get("name"))
+                  for s in d["specs"])
+    return StackedModel(final_base_learners=[model_from_dict(m) for m in d["base_models"]],
+                        weights=np.asarray(d["weights"], dtype=float), specs=specs,
+                        n_features=n_features, feature_names=names)
 
 
 def save_model(model: AnyModel, path: Union[str, Path]) -> None:

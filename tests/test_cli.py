@@ -26,7 +26,7 @@ from foglink.cli import (
     main,
 )
 from foglink.atmosphere import OpticalPath, extinction_coefficient
-from foglink.dataset import CsvParseError, parse_visibility_csv
+from foglink.dataset import CsvParseError, csv_text, parse_visibility_csv
 from foglink.serialize import load_model, save_model
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
@@ -228,10 +228,12 @@ _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, float("nan"), float("inf
 
 @st.composite
 def _column(draw, shape):
-    """One table column of ``shape``: floats, Python ints (an int64 array, or a
-    bare int for a scalar) or a numpy string array."""
+    """One column of ``shape``: float64 (signed zeros, nan, infinities and
+    subnormals among them), int64 (a bare int for a scalar), ``datetime64[D]``
+    (NaT and days past year 9999 among them), a numpy string array, or
+    Python objects mixing ``""`` and floats (a list when one-dimensional)."""
     size = int(np.prod(shape))
-    kind = draw(st.sampled_from(["float", "int", "str"]))
+    kind = draw(st.sampled_from(["float", "int", "date", "str", "object"]))
     if kind == "float":
         values = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
                                min_size=size, max_size=size))
@@ -239,23 +241,58 @@ def _column(draw, shape):
     if kind == "int":
         values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
         return values[0] if shape == () else np.array(values, dtype=np.int64).reshape(shape)
-    text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-                   max_size=4)
-    return np.array(draw(st.lists(text, min_size=size, max_size=size)), dtype=str).reshape(shape)
+    if kind == "date":
+        days = st.one_of(st.integers(-800_000, 3_000_000), st.just(-2**63))
+        values = draw(st.lists(days, min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).view("datetime64[D]").reshape(shape)
+    if kind == "str":
+        text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                       max_size=4)
+        return np.array(draw(st.lists(text, min_size=size, max_size=size)),
+                        dtype=str).reshape(shape)
+    values = np.empty(size, dtype=object)
+    values[:] = draw(st.lists(st.one_of(st.just(""), st.sampled_from(_SPECIAL_FLOATS),
+                                        st.floats()), min_size=size, max_size=size))
+    return values.tolist() if len(shape) == 1 else values.reshape(shape)
 
 
-@settings(max_examples=200, deadline=None)
+def reference_csv(header, columns):
+    """``csv_text`` as a plain loop: every value broadcast first, then
+    written with ``str``."""
+    cells = [np.array(column, dtype=object) if isinstance(column, list) else column
+             for column in columns]
+    rows = zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*cells)))
+    return "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_rows_equal_broadcast_then_str(data):
-    """Text made once per value and then broadcast reads as every value
-    broadcast first and then written with ``str``."""
-    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    """``csv_text`` reads as every value broadcast first and then written
+    with ``str``; a zero-length broadcast gives the header alone."""
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     shapes = data.draw(st.lists(st.sampled_from([(), (k,), (n, 1), (1, k), (n, k)]),
                                 min_size=1, max_size=5))
     columns = [data.draw(_column(shape)) for shape in shapes]
-    reference = [",".join(map(str, row)) for row in zip(
-        *(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))]
-    assert list(map(",".join, cli._rows(*columns))) == reference
+    header = [f"c{j}" for j in range(len(columns))]
+    assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+def test_lines_made_in_blocks_equal_broadcast_then_str():
+    """Lines are made 4,096 at a time, so blocks end inside rows of the
+    broadcast grid and a value recurs in several blocks."""
+    rng = np.random.default_rng(5)
+    columns = [rng.choice(np.array([0.0, -0.0, np.nan, 0.1]), (3001, 1)),
+               np.array(["a", "b", "c"]), np.arange(9003).reshape(3001, 3), ["", -0.0, 0.1]]
+    header = ["x", "s", "i", "o"]
+    assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+def test_signed_zeros_and_nans_keep_their_text():
+    """Equal floats with other bits are written apart: ``-0.0`` after ``0.0``
+    stays ``-0.0``, and a negative NaN is still ``nan``."""
+    column = np.array([0.0, -0.0, np.nan, -np.nan, -0.0, 0.0])
+    assert csv_text(["x"], [column]) == "x\n0.0\n-0.0\nnan\nnan\n-0.0\n0.0\n"
 
 
 class TestSynthData:
@@ -760,10 +797,8 @@ class TestPredict:
         assert (code, err.getvalue()) == (EXIT_OK, "")
         model = load_model(boosted_dir / "adbr.json")
         predictions = model.predict(np.asarray(rows)).tolist() if rows else []
-        reference = boosted_dir / "reference.csv"
-        cli._write_csv(reference, ["a", "b", "c", "prediction"],
-                       (row + [p] for row, p in zip(rows, predictions)))
-        assert out.read_bytes() == reference.read_bytes()
+        reference = [",".join(map(str, row + [p])) for row, p in zip(rows, predictions)]
+        assert out.read_text() == "\n".join(["a,b,c,prediction", *reference]) + "\n"
 
     @pytest.mark.parametrize("line_no", [4097, 4098], ids=["last-of-block-1", "first-of-block-2"])
     def test_fault_at_a_block_boundary_names_its_line(self, tree_file, tmp_path, capsys,

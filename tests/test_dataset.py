@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foglink.atmosphere import (
     AttenuationModel,
@@ -377,6 +377,8 @@ class TestColumnarParse:
                 min_size=1, max_size=5),
         st.dates(), st.integers(-2 ** 63, 2 ** 63 - 1),
         *[st.floats(allow_nan=False, allow_infinity=False)] * 3), max_size=8))
+    @example(rows=[("A", datetime.date(2015, 1, 1), 8, 1.0, 1.0, altitude)
+                   for altitude in (0.0, -0.0)])
     def test_write_equals_per_record_writer(self, rows):
         reference = [ReferenceRecord(*row) for row in rows]
         archive = visibility_records(*(zip(*rows) if rows else [[]] * 6))

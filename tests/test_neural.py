@@ -11,7 +11,13 @@ from foglink.neural import (
     gradient_check,
     train,
 )
-from foglink.tables import LabeledTable
+from foglink.tables import LabeledTable, split_indices
+
+
+def split_rows(data, seed):
+    """The training, validation and test rows of ``train`` with ``seed``: the
+    70/15/15 split it draws first from its generator."""
+    return split_indices(data.n_rows, (0.7, 0.15, 0.15), np.random.default_rng(seed))
 
 
 def activation(kind, t):
@@ -110,8 +116,9 @@ class TestTrain:
         data = LabeledTable(X, 2.0 * X[:, 0] - X[:, 1], ("x1", "x2"))
         model = MLPModel.initialize((2, 8, 1), hidden_activation=ActivationKind.TANH, seed=1)
         result = train(model, data, TrainConfig(0.05, epochs=2000, batch_size=32, seed=2))
-        val_X = data.features[result.val_rows]
-        val_y = data.targets[result.val_rows]
+        _, val_rows, _ = split_rows(data, 2)
+        val_X = data.features[val_rows]
+        val_y = data.targets[val_rows]
         pred = result.model.predict(val_X)
         r2 = 1.0 - np.sum((val_y - pred) ** 2) / np.sum((val_y - val_y.mean()) ** 2)
         assert r2 >= 0.99
@@ -153,8 +160,9 @@ class TestTrain:
         cfg = TrainConfig(0.08, epochs=500, batch_size=8, seed=13, early_stop_patience=5)
         result = train(model, data, cfg)
         assert len(result.train_loss) <= 500
-        val_X = data.features[result.val_rows]
-        val_y = data.targets[result.val_rows]
+        _, val_rows, _ = split_rows(data, 13)
+        val_X = data.features[val_rows]
+        val_y = data.targets[val_rows]
         final_val = float(np.mean((result.model.predict(val_X) - val_y) ** 2))
         assert final_val == pytest.approx(min(result.val_loss), rel=1e-9)
 
@@ -162,8 +170,9 @@ class TestTrain:
         data = linear_table(n=41)
         result = train(MLPModel.initialize((2, 3, 1), seed=1), data,
                        TrainConfig(0.01, epochs=2, batch_size=8, seed=5))
-        joined = np.concatenate([result.train_rows, result.val_rows, result.test_rows])
-        assert sorted(joined) == list(range(41))
+        rows = split_rows(data, 5)
+        assert np.array_equal(rows[0], result.train_rows)
+        assert sorted(np.concatenate(rows)) == list(range(41))
 
     def test_feature_count_mismatch_rejected(self):
         data = linear_table()

@@ -358,3 +358,18 @@ def test_model_that_is_not_an_object_is_refused(tmp_path, capsys, data, where):
     assert code == EXIT_VALIDATION
     assert f"model file {path}: a model must be a JSON object, got list" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, names", [
+    ("tree", "abc"), ("tree", ["a", "b"]), ("tree", [1, 2, 3]), ("mlp", ["a", "b"])],
+    ids=["string", "too-few", "not-strings", "mlp-too-few"])
+def test_feature_names_not_one_string_per_input_are_refused(tmp_path, capsys, data, kind,
+                                                            names):
+    """``feature_names`` must be null or one string per input; ``"abc"`` had
+    loaded as the names a, b and c, and predicted on a CSV headed a,b,c."""
+    payload = {**model_to_dict(KIND_FIELDS[kind][0](data)), "feature_names": names}
+    code, err, path = predict_exit(tmp_path, json.dumps(payload), capsys)
+    assert code == EXIT_VALIDATION
+    assert (f"validation error: model file {path}: field 'feature_names': need null or "
+            f"a list of 3 strings, got {names!r}") in err
+    assert "Traceback" not in err
