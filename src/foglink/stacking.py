@@ -135,16 +135,21 @@ def _fold_workers(n_tasks: int) -> int:
 
 @contextmanager
 def _fold_map(n_tasks: int):
-    """The ``map`` that runs the fold fits: a fork pool's ``imap``, which
-    yields results in task order, or the builtin in process when there is one
-    worker or no fork; the pool is terminated on exit."""
+    """The ``map`` that runs the fold fits: a fork process pool's, which
+    yields results in task order and raises ``BrokenProcessPool`` for each
+    fit still owed when a worker dies, or the builtin in process when there
+    is one worker or no fork; on exit the pool cancels the fits not started."""
     import multiprocessing
     workers = _fold_workers(n_tasks) if "fork" in multiprocessing.get_all_start_methods() else 1
     if workers == 1:
         yield map
         return
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield pool.imap
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fit_fold(task: tuple) -> np.ndarray:

@@ -4,21 +4,25 @@ Split candidates are midpoints between consecutive distinct sorted feature
 values; where the midpoint rounds onto the upper value (adjacent doubles,
 subnormals, or an overflowing sum) the lower value is the threshold, which
 gives the same partition.  The best split minimises the summed within-child
-squared error; ties break toward the lowest feature index, then the lowest
-threshold, so fits are reproducible.  A node stops splitting when it holds at
-most ``min_leaf_size`` rows, its targets have zero variance, the depth cap is
+squared error among the splits that leave positive weight on both sides;
+ties break toward the lowest feature index, then the lowest threshold, so
+fits are reproducible.  A node stops splitting when it holds at most
+``min_leaf_size`` rows, its targets have zero variance, the depth cap is
 reached, or no candidate feature admits a split.  Leaves predict the
 (weight-) mean target of their rows.
 
 Each fit sorts every column once; a node carries its rows in sorted order for
 every feature, and a split partitions those lists with gathers that keep them
 sorted.  A search scans every candidate feature of a batch of nodes at once
-from prefix and suffix sums.  Those scores carry rounding noise, so the
-cross-feature comparison recomputes each feature's error directly over its
-partition, but only for features whose scanned error lies within a proven
-rounding bound of the smallest; the others cannot win.  The fitted tree is the
-one a per-node sort and a recomputation for every feature would give, bit for
-bit.
+from prefix sums: the left child's sums are the prefix sums at a boundary,
+the right child's the node's totals minus them.  Those scores carry rounding
+noise that depends on the order of the sums, so a node keeps every (feature,
+threshold) candidate whose scanned score lies within a proven rounding bound
+of its best, and where that is more than one, recomputes their errors
+directly over their partitions; the others cannot win.  The split is thus the
+first, by feature and then threshold, of least recomputed error among the
+splits that leave positive weight on both sides, whatever the order of the
+sums: the rule ``tests/reference_tree.py`` applies by brute force.
 
 Every fit grows one depth at a time: all open nodes of a depth are searched
 in one batch, and the nodes are numbered as they are made, so a depth's
@@ -30,26 +34,20 @@ counter-based draw, after Salmon et al., SC 2011), so the draws follow each
 node's path from the root, not the growth order.
 
 A batch pads nodes of similar size into blocks, past each node's last row,
-with a pad row of zero moments (and a feature value of -inf, which opens no
-boundary).  Prefix sums run along each node's own sorted rows and then over
-its pads; suffix sums run over its pads first, which sum to exactly zero,
-and then along its rows from the far end.  Every sum a node's split scores
-read therefore adds the same numbers in the same order as a search of that
-node alone.
+with a pad row of zero moments, which adds nothing to a sum, and a feature
+value of -inf, which opens no boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .tables import LabeledTable
 
-# 16 eps: the near-tie allowance per row and unit of sum(w*y^2), see below
-_TIE = 16.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
 
 # feature, threshold, left, right and value of a node that is a leaf so far
 _LEAF = (-1, 0.0, -1, -1, 0.0)
@@ -140,37 +138,46 @@ def _split_sse(y: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
     return total
 
 
-# Near-tie rule.  For one feature, the scan SSE s (prefix/suffix sums at the
-# chosen boundary) and the rescored SSE r (_split_sse over the same partition)
-# are two roundings of one exact value t.  Take a node of n >= 2 rows,
-# S = sum(w*y^2) over it, u = eps/2, and the model fl(a op b) = (a op b)(1+d),
-# |d| <= u, with no overflow or underflow.  For a child of m rows, with
-# a = sum(w), b = sum(w*y), c = sum(w*y^2): the scan's b and c carry relative
-# error at most (m+1)u and, since (sum w|y|)^2 <= a*c, b^2/a is off by at
-# most (3m+1)u*c, so c - b^2/a is off by at most (4m+3)u*c; the children's c
-# sum to S, giving |s - t| <= (4n+12)u*S.  The rescore's mean is off by some
-# e, and sum(w*(y-mean-e)^2) = t_child + a*e^2 with a*e^2 second order, giving
-# |r - t| <= (n+6)u*S.  So |s - r| <= E = (5n+18)u*S <= 7n*eps*S.  A feature
-# whose scan SSE exceeds another's by more than 2E has the larger rescored SSE
-# too, so it cannot win; only features within 16n*eps*S of the smallest scan
-# SSE need rescoring, and the first strict minimum of their rescored SSEs is
-# the first strict minimum over all features.  An underflowing product or
-# quotient is off by at most 2^-1074 absolute; summed over n terms, scaled by
-# Y = max|y| and divided by a child weight of at least w0 (the smallest
-# positive weight), these stay below 16n^2(1 + Y + W + 1/w0)2^-1074 (W the
-# total weight), which is added to the allowance.  Overflow voids the model:
-# a fit with (W+1)(Y+1) >= 2^500 gets an infinite allowance, so every feature
-# is rescored.
+# Near-tie rule.  A candidate's scanned gain g (from the prefix sums at its
+# boundary) and its rescored SSE r (_split_sse over the same partition) are
+# roundings of S - t and t, t its exact SSE.  Take a node of n >= 2 rows,
+# S = sum(w*y^2) over it, A and w0 the fit's total and smallest positive
+# weight, rho = A/w0, u = eps/2, and the model fl(a op b) = (a op b)(1+d),
+# |d| <= u, with no overflow or underflow.  For a child with a = sum(w),
+# b = sum(w*y) and c = sum(w*y^2), b^2/a <= c by Cauchy-Schwarz.  The left
+# child of m rows reads prefix sums: a carries relative error at most (m-1)u
+# and b absolute error at most (m+1)u*sum(w|y|), with (sum w|y|)^2 <= a*c, so
+# b^2/a is off by at most (3m+3)u*c <= 3n*u*S.  The right child reads totals
+# minus prefix sums: a is off by at most (2n+1)u*A, which is (2n+1)u*rho
+# relative as the child holds a row of positive weight, and b by at most
+# (2n+2)u*sum(w|y|) over the node, with (sum w|y|)^2 <= A*S; so b^2/a is off
+# by at most ((2n+1)rho + (4n+4)sqrt(rho) + 2)u*S.  Adding the two, |g - (S -
+# t)| <= (5n+5)(1+rho)u*S.  The rescore's mean is off by some e, and
+# sum(w*(y-mean-e)^2) = t_child + a*e^2 with a*e^2 second order, giving
+# |r - t| <= (n+6)u*S.  So a candidate of least rescored SSE has a gain
+# within 2E <= 10n(1+rho)eps*S of the node's greatest, to first order, and
+# the higher orders add less than n(1+rho)eps*S while n*u*rho <= 2^-6.  Only
+# candidates within 16n(1+rho)eps*S of the greatest gain need rescoring, and
+# the first strict minimum of their rescored SSEs is the first over all
+# candidates.  An underflowing product or quotient is off by at most 2^-1074
+# absolute; summed over a total and a prefix, scaled by Y = max|y| and
+# divided by a child weight of at least w0, these stay below 16n^2(1 + Y + A
+# + 1/w0)2^-1074, which is added to the allowance.  A fit of N rows with
+# (A+1)(Y+1) >= 2^500, where squares may overflow, or with N*eps*rho > 2^-5
+# gets an infinite allowance, so every candidate is rescored.
 
 
-def _underflow_allowance(y: np.ndarray, w: np.ndarray) -> float:
-    """Absolute part of the near-tie allowance, taken over the whole fit so it
-    holds for every node; infinite where squares may overflow."""
+def _allowance(y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """The near-tie allowance of a fit, per row and unit of the node's
+    sum(w*y^2), and its absolute part: taken over the whole fit so they hold
+    for every node, and both infinite where the bound is void."""
     total, top = float(w.sum()), float(np.abs(y).max())
-    if not (total + 1.0) * (top + 1.0) < 2.0 ** 500:
-        return np.inf
     smallest = float(w[w > 0].min())
-    return 16.0 * y.size * y.size * (1.0 + top + total + 1.0 / smallest) * 2.0 ** -1074
+    if not ((total + 1.0) * (top + 1.0) < 2.0 ** 500
+            and y.size * _EPS * total / smallest <= 2.0 ** -5):
+        return np.inf, np.inf
+    return (16.0 * _EPS * (1.0 + total / smallest),
+            16.0 * y.size * y.size * (1.0 + top + total + 1.0 / smallest) * 2.0 ** -1074)
 
 
 class _Fit(NamedTuple):
@@ -181,22 +188,24 @@ class _Fit(NamedTuple):
     w: np.ndarray
     # w, w*y and w*y^2 per row, then a pad column of zeros
     moments: np.ndarray
-    allowance: float  # see _underflow_allowance
+    # the near-tie allowance per row and unit of sum(w*y^2), and its
+    # absolute part (see _allowance)
+    tie: float
+    allowance: float
 
 
 def _scan(fit: _Fit, sorted_rows: np.ndarray, starts: list[int], sizes: list[int],
           features: np.ndarray) -> list:
-    """Scan a batch of nodes for each candidate feature's best split.
+    """The near candidates of each node of a batch.
 
     Node ``i`` holds the ``sizes[i]`` rows (at least two) from column
     ``starts[i]`` of ``sorted_rows``: ``sorted_rows[f]`` holds them in stable
     ascending order of ``fit.columns[f]``.  Row ``i`` of ``features`` (nodes x c)
-    holds node ``i``'s candidate features.
-    Returns, per node, four lists over its candidates: the scanned squared
-    error of each feature's best split, the sorted values ``lo`` and ``hi``
-    it falls between (a split needs ``lo < hi``, which a constant feature
-    has none of), and the sum of w*y^2 over the node in that feature's
-    order.
+    holds node ``i``'s candidate features in ascending order.
+    Returns, per node, the ``(feature, lo, hi)`` of every split whose scanned
+    gain lies within the near-tie allowance of the node's greatest, in order
+    of feature and then threshold: the split falls between sorted values
+    ``lo < hi`` of ``feature`` and leaves positive weight on both sides.
     """
     c, pad, stride = features.shape[1], fit.y.size, sorted_rows.shape[1]
     # nodes of like size share a block, each padded to the block's largest
@@ -210,93 +219,72 @@ def _scan(fit: _Fit, sorted_rows: np.ndarray, starts: list[int], sizes: list[int
             width, padding = sizes[node], 0
     found = [None] * len(sizes)
     for block in blocks:
-        b, m = len(block), [sizes[node] for node in block]
-        width, lanes = m[0], c * b
-        # a lane is one (feature, node) pair, feature-major; idx holds each
+        b, m = len(block), np.array([sizes[node] for node in block])
+        width, lanes = m[0], b * c
+        # a lane is one (node, feature) pair, node-major; idx holds each
         # lane's rows in its feature's order, pads past each node's rows
-        lane_feature = features[block].T.reshape(lanes, 1)
+        lane_feature = features[block]
         ahead = np.arange(width)
         spans = np.minimum(np.array([starts[node] for node in block])[:, None] + ahead,
                            stride - 1)
-        idx = np.where(ahead < np.array(m)[:, None],
-                       sorted_rows.take(lane_feature.reshape(c, b, 1) * stride + spans),
+        idx = np.where((ahead < m[:, None])[:, None],
+                       sorted_rows.take(lane_feature[..., None] * stride + spans[:, None]),
                        pad).reshape(lanes, width)
-        xs = fit.columns[lane_feature, idx]
-        # prefix sums of the moments in each feature's order for the left
-        # child, and true suffix sums (accumulated from the far end) for the
-        # right one.  Deriving the right side as total-minus-prefix leaks
-        # rounding noise into splits whose exact error is zero, scrambling
-        # the documented tie-break.  Reversed, a node's pads come first and
-        # sum to zero, so every sum adds the node's own rows in its own order.
+        xs = fit.columns[lane_feature.reshape(lanes, 1), idx]
+        # position j splits after the j-th sorted row: the left child's sums
+        # are the prefix sums there, the right child's the lane's last
+        # prefix sums, its node's totals, minus them.  A split's squared
+        # error is the node's sum(w*y^2) minus its gain, b^2/a summed over
+        # the children with a = sum(w) and b = sum(w*y)
         gathered = fit.moments.take(idx, axis=1)
-        weight, wy, wy2 = np.add.accumulate(
-            np.concatenate((gathered, gathered[..., ::-1]), axis=1), axis=-1)
-        # zero-weight rows and pads give 0/0 at positions that are not
-        # boundaries too; NaN at a boundary is handled below like any other
-        # score.  (A whole fit under errstate runs every ufunc call slower.)
+        sums = np.add.accumulate(gathered[:2], axis=-1)
+        left = sums[..., :-1]
+        right = sums[..., -1:] - left
+        # zero-weight children and pads give 0/0, at no candidate; in a fit
+        # of finite allowance every candidate's gain is finite.  (A whole
+        # fit under errstate runs every ufunc call slower.)
         with np.errstate(divide="ignore", invalid="ignore"):
-            child = np.maximum(wy2 - wy * wy / weight, 0.0)
-        # position j splits after the j-th sorted row
-        sse = child[:lanes, :-1] + child[lanes:, -2::-1]
-        # only value changes qualify (a pad never opens one), and argmin keeps
-        # the first (lowest-threshold) minimum, NaN included
-        boundary = xs[:, 1:] > xs[:, :-1]
-        lane = np.arange(lanes)
-        pos = np.where(boundary, sse, np.inf).argmin(axis=1)
-        ok = boundary[lane, pos]
-        if not ok.all():  # no boundary, or every boundary scored +inf
-            pos = np.where(ok, pos, boundary.argmax(axis=1))
-        per_node = np.concatenate((sse[lane, pos], xs[lane, pos], xs[lane, pos + 1],
-                                   wy2[:lanes, -1])).reshape(4, c, b).transpose(2, 0, 1)
-        for node, scanned in zip(block, per_node.tolist()):
-            found[node] = scanned
+            gain = left[1] * left[1] / left[0] + right[1] * right[1] / right[0]
+        # a candidate opens a boundary (a pad never does) and leaves positive
+        # weight on both sides: a positive prefix weight (sums of
+        # nonnegative weights are exact in sign) and a positive-weight row
+        # past it
+        last = width - 1 - (gathered[0, :, ::-1] > 0).argmax(axis=1)
+        near = (xs[:, 1:] > xs[:, :-1]) & (left[0] > 0) & (ahead[:-1] < last[:, None])
+        if fit.tie < np.inf:
+            gain = np.where(near, gain, -np.inf)
+            most = gain.max(axis=1).reshape(b, c).max(axis=1)
+            bound = m * fit.tie * gathered[2, ::c].sum(axis=1) + fit.allowance
+            near &= gain >= (most - bound).repeat(c)[:, None]
+        lane, pos = np.divmod(np.flatnonzero(near), width - 1)
+        candidates = list(zip(lane_feature.ravel()[lane].tolist(), xs[lane, pos].tolist(),
+                              xs[lane, pos + 1].tolist()))
+        ends = np.bincount(lane // c, minlength=b).cumsum().tolist()
+        for node, start, end in zip(block, [0] + ends, ends):
+            found[node] = candidates[start:end]
     return found
 
 
-def _pick(fit: _Fit, node_rows: list, features: np.ndarray, scanned: list) -> list:
-    """(feature, threshold) of each node's best split; the feature is -1
-    where a node has none.
-
-    ``scanned`` is ``_scan``'s result for the nodes over ``features``;
-    ``node_rows`` holds each node's rows in ascending index order.
+def _pick(fit: _Fit, node_rows: list, near: list) -> list:
+    """(feature, threshold) of each node's split: of its near candidates
+    (``_scan``'s result for the nodes), the first whose squared error,
+    rescored over its partition of the node's rows, is least.  The feature is
+    -1 where a node has none; ``node_rows`` holds each node's rows in
+    ascending index order.
     """
     found = []
-    for rows, candidates, (sse, lo, hi, total) in zip(node_rows, features, scanned):
-        picks = [f for f in range(len(lo)) if lo[f] < hi[f]]
-        if len(picks) > 1:
-            near = [sse[f] for f in picks]
-            # a NaN scan SSE voids the bound: every candidate is rescored
-            if not any(map(isnan, near)):
-                least, bound = min(near), rows.size * _TIE * total[0] + fit.allowance
-                picks = [f for f, s in zip(picks, near) if s - least <= bound] or picks
-            if len(picks) > 1:
-                picks = [_rescore(fit, rows, candidates, picks, lo, hi)]
-        found.append((int(candidates[picks[0]]), _midpoint(lo[picks[0]], hi[picks[0]]))
-                     if picks else (-1, 0.0))
+    for rows, candidates in zip(node_rows, near):
+        if len(candidates) > 1:
+            node_y, node_w = fit.y[rows], fit.w[rows]
+            # min keeps the first of equal scores, and two features that
+            # make the same partition score exactly equal
+            candidates = [min(candidates, key=lambda split: _split_sse(
+                node_y, node_w, fit.columns[split[0], rows] <= split[1]))]
+        feature, lo, hi = candidates[0] if candidates else (-1, 0.0, 0.0)
+        # the midpoint, or lo where it rounds onto hi: the partition scored
+        mid = 0.5 * (lo + hi)
+        found.append((feature, mid if mid < hi else lo))
     return found
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    """The threshold between sorted values ``lo < hi``: their midpoint, or
-    ``lo`` where the midpoint rounds onto ``hi``, which would send ``hi``'s
-    rows left too; ``lo`` splits exactly where the scan did."""
-    mid = 0.5 * (lo + hi)
-    return mid if mid < hi else lo
-
-
-def _rescore(fit: _Fit, rows: np.ndarray, candidates: np.ndarray, picks: list, lo: list,
-             hi: list) -> int:
-    """The candidate of ``picks`` (positions in ``candidates``) whose split,
-    rescored over its actual partition of ``rows``, first has the least
-    squared error.
-
-    Two features producing the same partition compare exactly equal, so the
-    lowest-feature-index tie-break holds.
-    """
-    node_y, node_w = fit.y[rows], fit.w[rows]
-    # min keeps the first of equal scores, and a NaN score only when first
-    return min(picks, key=lambda f: _split_sse(
-        node_y, node_w, fit.columns[candidates[f], rows] <= _midpoint(lo[f], hi[f])))
 
 
 def _open(y: np.ndarray, rows: np.ndarray, sizes: list[int], min_leaf_size: int) -> list[bool]:
@@ -351,8 +339,7 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
     # moments add nothing to a sum
     moments = np.stack((w, w * y, w * y * y))
     fit = _Fit(np.concatenate((X.T, np.full((X.shape[1], 1), -np.inf)), axis=1), y, w,
-               np.concatenate((moments, np.zeros((3, 1))), axis=1),
-               _underflow_allowance(y, w))
+               np.concatenate((moments, np.zeros((3, 1))), axis=1), *_allowance(y, w))
     k, stride = X.shape[1], fit.columns.shape[1]
     keys = (rng.integers(2 ** 64, size=1, dtype=np.uint64)
             if mtry is not None and mtry < k else None)
@@ -373,8 +360,8 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf_size: int,
                         else _draw(keys[search], k, mtry))
             scanned = _scan(fit, sorted_rows, starts[search].tolist(), counts[search].tolist(),
                             features)
-            for i, split in zip(search.tolist(), _pick(fit, [node_rows[i] for i in search],
-                                                        features, scanned)):
+            for i, split in zip(search.tolist(),
+                                _pick(fit, [node_rows[i] for i in search], scanned)):
                 best[i] = split
         lefts = []
         for node, (f, t), members in zip(level, best, node_rows):

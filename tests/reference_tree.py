@@ -1,11 +1,13 @@
-"""Per-feature CART split search, kept as the reference for ``foglink.tree``.
+"""Brute-force CART split search, kept as the reference for ``foglink.tree``.
 
-This is the search ``foglink.tree`` used before it presorted each column once
-per fit and scored all features in one batch: every node argsorts each
-candidate feature, scans it for its best threshold, and rescores every
-feature's candidate over its actual partition.  ``reference_grow`` has the
-signature of ``foglink.tree._grow`` and builds the same node lists, so a test
-can substitute it there and fit through the same input checks.
+Every node tries each candidate feature at each boundary between consecutive
+distinct sorted values, skips a split that leaves zero weight on one side,
+and computes each split's squared error directly over its partition; the
+first strict minimum, by feature and then threshold, is the split.  This is
+the rule ``foglink.tree`` applies, with none of its prefix sums.
+``reference_grow`` has the signature of ``foglink.tree._grow`` and builds the
+same node lists, so a test can substitute it there and fit through the same
+input checks.
 """
 
 from typing import Optional
@@ -13,26 +15,6 @@ from typing import Optional
 import numpy as np
 
 from foglink.tree import _LEAF, _child_keys, _draw, _split_leaf
-
-
-def _weighted_sse_split(xs, ys, ws):
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-    if boundaries.size == 0:
-        return None
-    wy = ws * ys
-    wy2 = wy * ys
-    cw, cwy, cwy2 = np.cumsum(ws), np.cumsum(wy), np.cumsum(wy2)
-    sw = np.cumsum(ws[::-1])[::-1]
-    swy = np.cumsum(wy[::-1])[::-1]
-    swy2 = np.cumsum(wy2[::-1])[::-1]
-    lw, lwy, lwy2 = cw[boundaries - 1], cwy[boundaries - 1], cwy2[boundaries - 1]
-    rw, rwy, rwy2 = sw[boundaries], swy[boundaries], swy2[boundaries]
-    sse = (np.maximum(lwy2 - lwy * lwy / lw, 0.0)
-           + np.maximum(rwy2 - rwy * rwy / rw, 0.0))
-    j = int(np.argmin(sse))
-    lo, hi = xs[boundaries[j] - 1], xs[boundaries[j]]
-    midpoint = 0.5 * (lo + hi)
-    return float(sse[j]), midpoint if midpoint < hi else lo
 
 
 def _split_sse(y, w, mask):
@@ -48,14 +30,17 @@ def _split_sse(y, w, mask):
 def _best_split(X, y, w, feature_indices):
     best = None
     for f in feature_indices:
-        order = np.argsort(X[:, f], kind="stable")
-        found = _weighted_sse_split(X[order, f], y[order], w[order])
-        if found is None:
-            continue
-        _, threshold = found
-        sse = _split_sse(y, w, X[:, f] <= threshold)
-        if best is None or sse < best[0]:
-            best = (sse, int(f), threshold)
+        xs = X[np.argsort(X[:, f], kind="stable"), f].tolist()
+        for lo, hi in zip(xs[:-1], xs[1:]):
+            if not lo < hi:
+                continue
+            goes_left = X[:, f] <= lo
+            if not (w[goes_left].sum() > 0 and w[~goes_left].sum() > 0):
+                continue
+            sse = _split_sse(y, w, goes_left)
+            if best is None or sse < best[0]:
+                midpoint = 0.5 * (lo + hi)
+                best = (sse, int(f), midpoint if midpoint < hi else lo)
     return best
 
 

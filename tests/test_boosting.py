@@ -98,7 +98,7 @@ def test_negative_max_depth_rejected(max_depth):
 
 def fit_both(fit):
     """The serialized model ``fit()`` returns, as fitted and with every tree
-    grown by the per-feature reference search instead."""
+    grown by the brute-force reference search instead."""
     fast = json.dumps(model_to_dict(fit()))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "_grow", reference_grow)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -374,9 +375,44 @@ class TestTrain:
         assert "mlp" in manifest["failures"]
         assert sorted(manifest["models"]) == ["adbr", "gbr", "rf", "stacked"]
 
+    def test_dying_fold_worker_fails_the_stack_within_seconds(self, trained, tmp_path):
+        """A fold worker killed mid-fit, as the OOM killer would, fails the
+        stack with its (learner, fold); the other models are saved.  The
+        forest's folds are the first tasks, so no earlier fit can be the one
+        reported."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        script = """if True:
+            import os, sys
+            from foglink import cli, stacking
+            fit_fold = stacking._fit_fold
+
+            def dying(task):
+                if task[0].kind == "forest":
+                    os._exit(9)
+                return fit_fold(task)
+
+            stacking._fit_fold = dying
+            stacking._fold_workers = lambda n_tasks: 2
+            sys.exit(cli.main(sys.argv[1:]))
+        """
+        out = tmp_path / "run"
+        run = subprocess.run(
+            [sys.executable, "-c", script, "train", "--data", str(trained["data"]),
+             "--config", str(trained["cfg"]), "--seed", "5", "--out-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+            text=True, timeout=20)
+        assert run.returncode == EXIT_TRAINING, run.stderr
+        assert ("training failed for stacked: base learner 0 (forest) failed on fold 0: "
+                in run.stderr and "Traceback" not in run.stderr)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["models"]) == ["adbr", "gbr", "mlp", "rf"]
+        assert sorted(p.name for p in (out / "models").iterdir()) == [
+            "adbr.json", "gbr.json", "mlp.json", "rf.json"]
+
     def test_models_equal_reference_split_search(self, trained, tmp_path, monkeypatch):
         """Every model and log of a run whose trees grow through the
-        per-feature reference search is byte-identical to the presorted one."""
+        brute-force reference search is byte-identical to the presorted one."""
         monkeypatch.setattr(tree, "_grow", reference_grow)
         out = tmp_path / "reference"
         assert main(["train", "--data", str(trained["data"]), "--config",

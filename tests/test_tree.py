@@ -102,6 +102,14 @@ def test_non_finite_sample_weight_rejected(bad):
         fit_regression_tree(data, 1, sample_weight=w)
 
 
+def test_zero_weight_rows_get_no_leaf_of_their_own():
+    # a split must leave positive weight on both sides, so rows of weight 0
+    # share a leaf with weighted rows and predict its finite mean
+    data = table(np.arange(5.0), [0.0, 5.0, 1.0, 7.0, 3.0])
+    tree = fit_regression_tree(data, 1, sample_weight=np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    assert tree.predict(data.features).tolist() == [0.0, 5.0, 1.0, 1.0, 1.0]
+
+
 def test_integer_weights_match_duplicated_rows():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 5.0, 5.0, 10.0])
@@ -143,7 +151,7 @@ def test_refit_is_deterministic():
     assert np.array_equal(first, second)
 
 
-# --- the presorted, feature-batched search against the per-feature reference
+# --- the presorted, feature-batched search against the brute-force reference
 
 def fit_both(data, min_leaf_size, rng_seed=None, **kwargs):
     """The same fit through ``foglink.tree`` and through the reference search,
@@ -214,6 +222,22 @@ def test_batched_search_matches_reference_with_tiny_weights(seed):
         assert fast == reference
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_search_matches_reference_beside_a_heavy_row(seed):
+    # a row of weight 1 and y = 0 between mirrored rows of weight 1e-8 and y
+    # near 1000: the two splits beside it tie exactly, and the scan reads the
+    # light right child's sums as a total minus a prefix holding the heavy
+    # row, a rounding error about A/w0 times the one of its own sums, which
+    # the near-tie allowance's factor 1 + A/w0 covers
+    rng = np.random.default_rng(seed)
+    light = 1000.0 + 1e-3 * rng.normal(size=20)
+    w = np.full(41, 1e-8)
+    w[20] = 1.0
+    data = table(np.arange(41.0), np.concatenate((light, [0.0], light[::-1])))
+    fast, reference = fit_both(data, 1, sample_weight=w, max_depth=1)
+    assert fast == reference
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_search_matches_reference_with_mtry_and_depth_caps(seed):
     data = awkward_table(seed)
@@ -252,8 +276,8 @@ def test_batched_search_matches_reference_when_squares_overflow():
         assert fast == reference
 
 
-# zero weights (a zero-weight child scores and averages 0/0), subnormal and
-# tiny ones
+# zero weights (a split leaving only zero weight on one side is no
+# candidate), subnormal and tiny ones
 WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.25, 1.0, 3.0])
 
 
@@ -266,7 +290,6 @@ def test_depth_cap_at_or_below_zero_fits_one_leaf(max_depth):
     assert tree.feature == [-1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 48), weights=st.data(),
        weighted=st.booleans(), max_depth=st.sampled_from([None, *range(-2, 8)]),
@@ -285,6 +308,8 @@ def test_fit_matches_reference_grower(seed, n, weights, weighted, max_depth, min
     fast, reference = fit_both(data, min_leaf_size, rng_seed=None if mtry is None else seed,
                                **kwargs)
     assert fast == reference
+    nodes = json.loads(fast)
+    assert np.isfinite([v for f, v in zip(nodes["feature"], nodes["value"]) if f < 0]).all()
 
 
 # --- the path-keyed feature draws against exact integer arithmetic
