@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaboost import AdaBoostTrainingError
 from .atmosphere import (
     AttenuationModel,
     OpticalPath,
@@ -65,9 +64,9 @@ from .link_budget import (
     watts_to_dbm,
 )
 from .metrics import compute_metrics
-from .neural import MLPModel, TrainConfig, TrainingError, train
+from .neural import MLPModel, TrainConfig, train
 from .serialize import load_model, save_model
-from .stacking import LearnerSpec, StackConfig, StackingError, fit_base_learner, fit_stacked
+from .stacking import LearnerSpec, StackConfig, fit_base_learner, fit_stacked
 from .tables import split_indices
 
 EXIT_OK = 0
@@ -467,12 +466,11 @@ def cmd_train(args) -> int:
         if name == "rf" and model.oob_error is not None:
             log_rows.append(("rf", "oob_mse", 0, model.oob_error))
         if name == "adbr":
-            for k, loss in enumerate(model.round_errors or []):
+            for k, loss in enumerate(model.round_errors):
                 log_rows.append(("adbr", "round_loss", k, loss))
         if name == "stacked":  # one row per configured learner, 0 for a non-member
-            weights = dict(zip((spec.label for spec in model.specs), model.weights))
-            for l, spec in enumerate(stack.base_learner_specs):
-                log_rows.append(("stacked", "weight", l, float(weights.get(spec.label, 0.0))))
+            for l, weight in enumerate(model.weights):
+                log_rows.append(("stacked", "weight", l, float(weight)))
         if name == "gbr":
             train_mse = float(np.mean((model.predict(table.features) - table.targets) ** 2))
             log_rows.append(("gbr", "train_mse", 0, train_mse))
@@ -502,7 +500,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     manifest_path = _input_file(args.manifest or out / "manifest.json", "manifest")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except RecursionError:
+        raise ValidationError(f"manifest {manifest_path} is nested too deeply") from None
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest {manifest_path} is not a JSON object")
     missing = [key for key in ("config", "source", "seed", "n_rows", "models")
@@ -580,8 +581,7 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     X = np.column_stack(columns)
-    predictions = model.predict(X) if len(X) else np.empty(0)
-    out_path.write_text(csv_text(expected + ["prediction"], [*columns, predictions]))
+    out_path.write_text(csv_text(expected + ["prediction"], [*columns, model.predict(X)]))
     return EXIT_OK
 
 
@@ -636,9 +636,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CsvParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (TrainingError, AdaBoostTrainingError, StackingError) as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
     except ValueError as exc:  # ValidationError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -282,11 +282,9 @@ DEFAULT_STATION_PROFILES = {
 
 
 def synthesize_dataset(station_profiles: Sequence[StationProfile], n_days: int,
-                       seed: int,
-                       start_date: datetime.date = datetime.date(2010, 1, 1)
-                       ) -> np.recarray:
+                       seed: int) -> np.recarray:
     """Seeded surrogate archive: three observations per day per station,
-    station by station, day by day, hour by hour.
+    station by station, day by day from 2010-01-01, hour by hour.
 
     Visibility is lognormal with the profile's mean (mu = ln(mean) -
     sigma^2/2), so long runs average back to the profile mean.  Each record
@@ -306,7 +304,7 @@ def synthesize_dataset(station_profiles: Sequence[StationProfile], n_days: int,
             visibility[k] = rng.lognormal(mu, profile.sigma)
             wind[k] = rng.gamma(2.0, scale)
         start += per_station
-    dates = np.datetime64(start_date, "D") + np.arange(n_days).repeat(len(SYNOPTIC_HOURS))
+    dates = np.datetime64("2010-01-01") + np.arange(n_days).repeat(len(SYNOPTIC_HOURS))
     return visibility_records(
         np.repeat(np.array([p.name for p in station_profiles], dtype=object), per_station),
         np.tile(dates, len(station_profiles)),

@@ -6,7 +6,9 @@ training log reports (``oob_error``, ``round_errors``); the fitting
 hyperparameters are in the run manifest.  Trees are their five parallel
 node lists (``feature``, ``threshold``, ``left``, ``right``, ``value``, as in
 ``tree.RegressionTree``), networks row-major weight matrices with their
-input standardisation.  Stacked models embed their members' models whole.
+input standardisation.  A stacked model is its weight for every configured
+learner, 0 for one left out, and the whole models of its members, the
+learners of positive weight; the ``specs`` of earlier files go unread.
 Dumps are compact and key-sorted, so identical models serialise to
 identical bytes.  Loading refuses non-finite numbers (``1e400`` included),
 integers beyond the float range and a non-integer where an integer belongs
@@ -29,7 +31,7 @@ from .adaboost import AdaBoostModel
 from .boosting import GradientBoostModel
 from .forest import RandomForestModel
 from .neural import ActivationKind, MLPModel
-from .stacking import LearnerSpec, StackedModel
+from .stacking import StackedModel
 from .tree import RegressionTree
 
 AnyModel = Union[RegressionTree, RandomForestModel, GradientBoostModel,
@@ -92,8 +94,6 @@ def model_to_dict(model: AnyModel) -> dict:
                 "learners": [_nodes(t) for t in model.weak_learners]}
     if isinstance(model, StackedModel):
         return {"model": "stacked", "weights": [float(w) for w in model.weights],
-                "specs": [{"kind": s.kind, "name": s.name, "params": s.params}
-                          for s in model.specs],
                 "n_features": model.n_features, "feature_names": _names(model),
                 "base_models": [model_to_dict(m) for m in model.final_base_learners]}
     if isinstance(model, MLPModel):
@@ -151,10 +151,8 @@ def model_from_dict(d: dict) -> AnyModel:
                              alphas=[float(a) for a in d["alphas"]],
                              n_features=n_features, feature_names=names,
                              round_errors=d.get("round_errors"))
-    specs = tuple(LearnerSpec(kind=s["kind"], params=dict(s["params"]), name=s.get("name"))
-                  for s in d["specs"])
     return StackedModel(final_base_learners=[model_from_dict(m) for m in d["base_models"]],
-                        weights=np.asarray(d["weights"], dtype=float), specs=specs,
+                        weights=np.asarray(d["weights"], dtype=float),
                         n_features=n_features, feature_names=names)
 
 
@@ -183,8 +181,9 @@ def _float_range_int(literal: str) -> int:
 
 def load_model(path: Union[str, Path]) -> AnyModel:
     """Read a model file; a missing, ill-typed, non-finite or invalid field,
-    an integer beyond the float range, or a file that is not a JSON object
-    is a ValueError naming the file."""
+    an integer beyond the float range, nesting beyond the interpreter's
+    recursion limit, or a file that is not a JSON object is a ValueError
+    naming the file."""
     try:
         return model_from_dict(json.loads(
             Path(path).read_text(), parse_constant=_non_finite,
@@ -195,3 +194,5 @@ def load_model(path: Union[str, Path]) -> AnyModel:
         raise ValueError(f"model file {path}: malformed field ({exc})") from exc
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"model file {path}: nested too deeply") from exc

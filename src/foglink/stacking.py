@@ -9,11 +9,12 @@ least squares of Breiman's *Stacked Regressions* (1996) -- which keeps
 stacked predictions inside the range of the base predictions and guarantees
 the meta objective is no worse than the best single learner.  The weights
 are solved exactly by enumerating the supports of the simplex, so at most
-``MAX_BASE_LEARNERS`` learners may be stacked.  A learner whose weight is 0
-contributes nothing, so the stacked model keeps only the learners of
-positive weight, its members.  Their final fits use all rows and the
-stacking seed, except those the caller has already fitted that way and
-hands over.
+``MAX_BASE_LEARNERS`` learners may be stacked.  The stacked model keeps the
+whole weight vector, one entry per configured learner, and the final fits
+of its members, the learners of positive weight; a learner of weight 0
+contributes nothing and is not fitted again.  The final fits use all rows
+and the stacking seed, except those the caller has already fitted that way
+and hands over.
 
 The L x H fold fits are independent, so they run in a pool of worker
 processes, one per CPU in this process's affinity mask (limit them with
@@ -50,7 +51,7 @@ class StackingError(RuntimeError):
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Base-learner descriptor: a kind tag plus keyword hyperparameters.
+    """A base learner: a kind tag plus keyword hyperparameters.
 
     Kinds: ``tree``, ``forest``, ``gbr`` and ``adbr``.  A kind's parameters
     are the keyword-only arguments of its fit in ``_LEARNERS``;
@@ -60,11 +61,6 @@ class LearnerSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-    name: Optional[str] = None
-
-    @property
-    def label(self) -> str:
-        return self.name if self.name is not None else self.kind
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,9 @@ def build_level1_sample(data: LabeledTable, cfg: StackConfig) -> LabeledTable:
                 predictions = next(fits)
             except Exception as exc:  # the first failure in (l, h) order
                 raise StackingError(
-                    f"base learner {l} ({spec.label}) failed on fold {h}: {exc}") from exc
+                    f"base learner {l} ({spec.kind}) failed on fold {h}: {exc}") from exc
             columns[fold, l] = predictions
-    names = tuple(f"{spec.label}_{l}" for l, spec in enumerate(cfg.base_learner_specs))
+    names = tuple(f"{spec.kind}_{l}" for l, spec in enumerate(cfg.base_learner_specs))
     return LabeledTable(columns, data.targets, names)
 
 
@@ -221,28 +217,30 @@ def solve_stacking_weights(level1: LabeledTable) -> np.ndarray:
 
 @dataclass
 class StackedModel:
-    """The members of a stack: each final base learner with its spec and its
+    """The stacking weights, one per configured learner and 0.0 for a
+    learner left out, and the final models of the members, the learners of
     positive weight, in the order of the stack's configuration."""
 
     final_base_learners: list
     weights: np.ndarray
-    specs: tuple[LearnerSpec, ...]
     n_features: int
     feature_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.final_base_learners),) or len(self.specs) != w.size:
-            raise ValueError(f"stacked model has {w.size} weights and {len(self.specs)} "
-                             f"specs for {len(self.final_base_learners)} base models")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"stacking weights must be finite, positive and sum to one, "
-                             f"got {w.tolist()}")
-        object.__setattr__(self, "weights", w)
+        if (w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0)
+                or abs(w.sum() - 1.0) > 1e-9):
+            raise ValueError(f"stacking weights must be finite, nonnegative and sum to "
+                             f"one, got {w.tolist()}")
+        if np.count_nonzero(w) != len(self.final_base_learners):
+            raise ValueError(f"stacked model has {np.count_nonzero(w)} positive weights "
+                             f"for {len(self.final_base_learners)} base models")
+        self.weights = w
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self.weights @ np.stack([m.predict(X) for m in self.final_base_learners])
+        member_weights = self.weights[self.weights > 0]
+        return member_weights @ np.stack([m.predict(X) for m in self.final_base_learners])
 
 
 def fit_stacked(data: LabeledTable, cfg: StackConfig,
@@ -261,9 +259,7 @@ def fit_stacked(data: LabeledTable, cfg: StackConfig,
         raise ValueError(f"{len(fitted)} fitted models handed over for {len(specs)} "
                          f"base learners")
     weights = solve_stacking_weights(build_level1_sample(data, cfg))
-    members = np.flatnonzero(weights)
     finals = [fit_base_learner(specs[l], data, cfg.seed) if fitted[l] is None else fitted[l]
-              for l in members]
-    return StackedModel(final_base_learners=finals, weights=weights[members],
-                        specs=tuple(specs[l] for l in members),
+              for l in np.flatnonzero(weights)]
+    return StackedModel(final_base_learners=finals, weights=weights,
                         n_features=data.n_features, feature_names=data.feature_names)

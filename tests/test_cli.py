@@ -5,9 +5,11 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,15 @@ class TestConfig:
     def test_example_config_file_parses_to_defaults(self):
         assert load_config("configs/default.cfg") == RunConfig()
 
+    def test_example_config_file_documents_every_key_at_its_default(self, tmp_path):
+        """With every ``# key = value`` line uncommented, the file sets each
+        RunConfig field once, to its default."""
+        text = (ROOT / "configs" / "default.cfg").read_text()
+        uncommented = re.sub(r"^# (?=\w+ =)", "", text, flags=re.MULTILINE)
+        keys = re.findall(r"^(\w+) =", uncommented, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+        assert load_config(write_cfg(tmp_path, uncommented)) == RunConfig()
+
 
 class TestAttenuationSweep:
     def test_single_cell_anchor(self, tmp_path):
@@ -108,6 +119,15 @@ class TestAttenuationSweep:
         for lam in ("760.0", "1550.0"):
             betas = [float(r["beta_per_km"]) for r in rows if r["wavelength_nm"] == lam]
             assert all(a > b for a, b in zip(betas, betas[1:]))
+
+    def test_empty_wavelength_grid_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "wavelengths_nm =\n")
+        out = tmp_path / "out"
+        assert main(["attenuation-sweep", "--config", cfg, "--out-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: empty visibility or wavelength grid\n")
+        assert not (out / "attenuation_sweep.csv").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         for sub in ("a", "b"):
@@ -155,7 +175,14 @@ class TestLinkSweep:
         ("tx_powers_w = 0.01,nan\n", "tx_powers_w"),
         ("wavelengths_nm =\n", "empty wavelength or transmit power grid"),
         ("tx_powers_w =\n", "empty wavelength or transmit power grid"),
-    ], ids=["nan-power", "nan-power-grid", "no-wavelengths", "no-powers"])
+        ("attenuation_model = mie\n", "attenuation_model must be 'kruse' or 'kim', got 'mie'"),
+        ("tx_power_w = abc\n", "config key tx_power_w: cannot parse value 'abc'"),
+        ("bogus\n", "config line not of form key=value: 'bogus'"),
+        ("range_step_km = 0\n", "bad grid: min=0.1, max=10.0, step=0.0"),
+        ("fog_light_km = 20\n",
+         "fog class light visibility 20.0 not below clear_visibility_km 10.0"),
+    ], ids=["nan-power", "nan-power-grid", "no-wavelengths", "no-powers", "unknown-model",
+            "unparsable-value", "not-key-value", "zero-step", "fog-not-below-clear"])
     def test_bad_grid_or_value_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                                           config, message):
         cfg = write_cfg(tmp_path, config)
@@ -469,6 +496,17 @@ class TestTrain:
         assert main(["evaluate", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
         assert "skipped 1 row(s), the first at line 4" in capsys.readouterr().err
 
+    def test_no_usable_visibility_record_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "visibility.csv"
+        bad.write_text("station,date,hour,visibility_km,wind_speed_mps,altitude_m\n"
+                       "A,2015-01-01,8,0.0,1.0,1.0\nA,2015-01-01,14,-2.0,1.0,1.0\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(bad), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"{bad}: skipped 2 row(s), the first at line 2 (nonpositive visibility)\n"
+            "validation error: no usable visibility records\n")
+        assert not (out / "manifest.json").exists()
+
     def test_non_synoptic_hours_summarised_in_one_line(self, trained, tmp_path):
         """One line naming the CSV, as a user's own interpreter shows it: no
         Python warning with the installed source path.  A parse error after
@@ -518,8 +556,10 @@ class TestTrain:
         folds = load_config(str(trained["cfg"])).stack_folds
         names = {"forest": "fit_random_forest", "gbr": "fit_gradient_boost",
                  "adbr": "fit_adaboost_r2"}
-        members = json.loads((trained["out"] / "models" / "stacked.json").read_text())["specs"]
-        refitted = {names[spec["kind"]] for spec in members if spec["kind"] in names}
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        kinds = manifest["models"]["stacked"]["hyperparameters"]["base"]
+        weights = json.loads((trained["out"] / "models" / "stacked.json").read_text())["weights"]
+        refitted = {names[kind] for kind, w in zip(kinds, weights) if w > 0 and kind in names}
         assert refitted and refitted != set(names.values())  # both cases occur
         # fits in pool workers are invisible to the counters: fit in process
         monkeypatch.setattr(stacking, "_fold_workers", lambda n_tasks: 1)
@@ -660,6 +700,32 @@ class TestEvaluate:
         assert ("unknown config keys: bogus_key, rx_efficiency, rx_sensitivity_dbm, "
                 "target_ber, tx_efficiency") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "is not a JSON object"),
+        ('{"config":' + "[" * 100_000 + "]" * 100_000 + "}", "is nested too deeply"),
+    ], ids=["array", "nested-too-deeply"])
+    def test_manifest_not_a_shallow_object_exits_3(self, tmp_path, capsys, text, message):
+        """The deep text is built as a string: ``json.dumps`` cannot encode it
+        either."""
+        patched = tmp_path / "manifest.json"
+        patched.write_text(text)
+        assert main(["evaluate", "--manifest", str(patched),
+                     "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: manifest {patched} {message}\n"
+
+    def test_row_count_drift_exits_3(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        n_rows = manifest["n_rows"]
+        manifest["n_rows"] = n_rows + 1
+        patched = tmp_path / "manifest.json"
+        patched.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--manifest", str(patched),
+                     "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert (f"validation error: rebuilt table has {n_rows} rows, manifest says "
+                f"{n_rows + 1}; data or config drifted since training\n") in err
+        assert "Traceback" not in err and not (tmp_path / "metrics.csv").exists()
+
 
 @pytest.mark.parametrize("where", ["config file", "manifest"])
 @pytest.mark.parametrize("key, text, value, message", [
@@ -779,6 +845,17 @@ class TestPredict:
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text() == "u,v,prediction\n"
 
+    def test_zero_byte_feature_file_is_parse_error(self, tree_file, tmp_path, capsys):
+        path, _, _ = tree_file
+        feats = tmp_path / "feats.csv"
+        feats.write_text("")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(path), "--features", str(feats),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: line 1: empty feature file, header row required\n")
+        assert not out.exists()
+
     def test_bad_number_is_parse_error(self, tree_file, tmp_path):
         path, _, _ = tree_file
         feats = tmp_path / "feats.csv"
@@ -882,16 +959,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "tree.json" in err and message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("weights, message", [
-        (lambda w: [float("nan")] * len(w), "non-finite number NaN"),
-        (lambda w: w[1:], "{short} weights and {n} specs for {n} base models"),
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda p: p.update(weights=[float("nan")] * len(p["weights"])),
+         "non-finite number NaN"),
+        (lambda p: p["base_models"].pop(), "{n} positive weights for {short} base models"),
     ], ids=["nan", "too-few"])
     def test_bad_stacking_weights_are_validation_errors(self, trained, tmp_path, capsys,
-                                                        weights, message):
+                                                        corrupt, message):
         payload = json.loads((trained["out"] / "models" / "stacked.json").read_text())
-        n = len(payload["weights"])
-        payload["weights"] = weights(payload["weights"])
-        message = message.format(short=n - 1, n=n)
+        n = sum(w > 0 for w in payload["weights"])
+        corrupt(payload)
+        message = message.format(n=n, short=n - 1)
         model = tmp_path / "stacked.json"
         model.write_text(json.dumps(payload))
         feats = tmp_path / "feats.csv"

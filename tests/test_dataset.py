@@ -198,15 +198,14 @@ def reference_parse(lines):
     return records, rejected, odd_hours
 
 
-def reference_synthesize(station_profiles, n_days, seed,
-                         start_date=datetime.date(2010, 1, 1)):
+def reference_synthesize(station_profiles, n_days, seed):
     """The per-record synthesizer the columnar one replaced."""
     rng = np.random.default_rng(seed)
     out = []
     for profile in station_profiles:
         mu = np.log(profile.mean_visibility_km) - 0.5 * profile.sigma ** 2
         for day in range(n_days):
-            date = start_date + datetime.timedelta(days=day)
+            date = datetime.date(2010, 1, 1) + datetime.timedelta(days=day)
             for hour in SYNOPTIC_HOURS:
                 visibility = float(rng.lognormal(mu, profile.sigma))
                 wind = float(rng.gamma(2.0, profile.wind_mean_mps / 2.0))

@@ -106,19 +106,44 @@ def test_adaboost_alpha_not_positive_is_refused(tmp_path, capsys, data, alpha):
     assert "Traceback" not in err and not out.exists()
 
 
+# the depth-0 tree, one leaf holding the mean target, gets weight 0
+THREE_LEARNERS = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
+                              LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3}),
+                              LearnerSpec("tree", {"max_depth": 0})), n_folds=3, seed=2)
+
+
 def test_stacked_round_trip(data, grid):
-    cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
-                       LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3}),
-                       LearnerSpec("tree", {"max_depth": 0})), n_folds=3, seed=2)
+    cfg = THREE_LEARNERS
     model = fit_stacked(data, cfg)
     clone = round_trip(model)
     assert np.array_equal(model.predict(grid), clone.predict(grid))
-    assert clone.weights == pytest.approx(model.weights, rel=0, abs=0)
+    # the whole weight vector round-trips, 0 for each learner left out, and
     # the members are exactly the learners of positive weight
     weights = solve_stacking_weights(build_level1_sample(data, cfg))
-    assert np.array_equal(clone.weights, weights[weights > 0])
-    assert clone.specs == model.specs == tuple(
-        spec for spec, weight in zip(cfg.base_learner_specs, weights) if weight > 0)
+    assert clone.weights.tolist() == model.weights.tolist() == weights.tolist()
+    assert 0 < np.count_nonzero(weights) == len(clone.final_base_learners) < len(weights)
+
+
+def parent_format(model, cfg) -> dict:
+    """``model`` as earlier versions saved it: the members' weights only,
+    each member with a copy of its spec."""
+    payload = model_to_dict(model)
+    members = np.flatnonzero(model.weights)
+    payload["weights"] = [payload["weights"][l] for l in members]
+    payload["specs"] = [{"kind": cfg.base_learner_specs[l].kind, "name": None,
+                         "params": cfg.base_learner_specs[l].params} for l in members]
+    return payload
+
+
+def test_parent_format_stack_loads_and_predicts_the_same(tmp_path, data, grid):
+    cfg = THREE_LEARNERS
+    model = fit_stacked(data, cfg)
+    path = tmp_path / "stacked.json"
+    path.write_text(json.dumps(parent_format(model, cfg), sort_keys=True,
+                               separators=(",", ":")) + "\n")
+    old = load_model(path)
+    assert np.array_equal(old.predict(grid), model.predict(grid))
+    assert old.weights.tolist() == model.weights[model.weights > 0].tolist()
 
 
 def test_mlp_round_trip(data, grid):
@@ -223,12 +248,14 @@ def test_saved_file_is_compact(tmp_path, data):
 
 def test_old_stack_with_zero_weight_is_refused(tmp_path, data, capsys):
     """Earlier versions saved every configured learner, a weight of 0
-    included; such a file exits 3 naming the file."""
+    included, with its spec and model; such a file exits 3 naming the file,
+    for it holds a model for a learner of weight 0."""
     mean = LearnerSpec("tree", {"max_depth": 0})
     cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
                        LearnerSpec("forest", {"n_trees": 4, "min_leaf_size": 3})),
                       n_folds=3, seed=2)
-    old = model_to_dict(fit_stacked(data, cfg))
+    old = parent_format(fit_stacked(data, cfg), cfg)
+    members = len(old["weights"])
     old["weights"].append(0.0)
     old["specs"].append({"kind": "tree", "name": None, "params": mean.params})
     old["base_models"].append(model_to_dict(fit_base_learner(mean, data, 2)))
@@ -240,7 +267,8 @@ def test_old_stack_with_zero_weight_is_refused(tmp_path, data, capsys):
     assert main(["predict", "--model", str(path), "--features", str(features),
                  "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert f"model file {path}: stacking weights must be finite, positive" in err
+    assert f"model file {path}: stacked model has {members} positive weights for " \
+           f"{members + 1} base models" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -358,6 +386,24 @@ def test_model_that_is_not_an_object_is_refused(tmp_path, capsys, data, where):
     assert code == EXIT_VALIDATION
     assert f"model file {path}: a model must be a JSON object, got list" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nesting", ["arrays", "stacks"])
+def test_model_nested_too_deeply_is_refused(tmp_path, capsys, data, nesting):
+    """Nesting beyond the recursion limit exits 3 naming the file: 100,000
+    arrays in ``base_models``, or 900 stacks each the only member of the
+    next.  The texts are built as strings, as ``json.dumps`` cannot encode
+    them either."""
+    stack = ('{"model":"stacked","n_features":3,"feature_names":["a","b","c"],'
+             '"weights":[1.0],"base_models":[')
+    if nesting == "arrays":
+        text = stack + "[" * 100_000 + "]" * 100_000 + "]}"
+    else:
+        tree = json.dumps(model_to_dict(fit_regression_tree(data, 2)))
+        text = stack * 900 + tree + "]}" * 900
+    code, err, path = predict_exit(tmp_path, text, capsys)
+    assert (code, err) == (EXIT_VALIDATION,
+                           f"validation error: model file {path}: nested too deeply\n")
 
 
 @pytest.mark.parametrize("kind, names", [

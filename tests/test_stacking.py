@@ -52,7 +52,7 @@ def constant_kind(monkeypatch):
 
 
 # a depth-0 tree is one leaf holding the mean target of its rows
-MEAN = LearnerSpec("tree", {"max_depth": 0}, name="mean")
+MEAN = LearnerSpec("tree", {"max_depth": 0})
 
 
 def fold_paths():
@@ -123,7 +123,7 @@ class TestLevel1:
         cfg = StackConfig((LearnerSpec("tree"), MEAN), n_folds=4, seed=0)
         level1 = build_level1_sample(data, cfg)
         assert level1.features.shape == (20, 2)
-        assert level1.feature_names == ("tree_0", "mean_1")
+        assert level1.feature_names == ("tree_0", "tree_1")
 
     def test_perturbing_a_fold_leaves_its_rows_unchanged(self):
         data = random_table(18, 2, 8)
@@ -321,14 +321,12 @@ class TestStackedModel:
     def test_agreeing_bases_pass_through(self):
         model = StackedModel(
             final_base_learners=[Constant(4.0), Constant(4.0)],
-            weights=np.array([0.25, 0.75]),
-            specs=(LearnerSpec("constant"), LearnerSpec("constant")),
-            n_features=1)
+            weights=np.array([0.25, 0.0, 0.75]), n_features=1)
         assert model.predict(np.zeros((1, 1)))[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_members_are_the_learners_of_nonzero_weight(self, monkeypatch):
         """Only learners of nonzero weight get a final fit and join the model,
-        in configuration order."""
+        in configuration order; the model keeps the whole weight vector."""
         data = random_table(30, 2, 19)
         cfg = StackConfig((MEAN, LearnerSpec("tree", {"min_leaf_size": 2}),
                            LearnerSpec("forest", {"n_trees": 5, "min_leaf_size": 3})),
@@ -343,12 +341,13 @@ class TestStackedModel:
                             lambda spec, d, seed: final_fits.append(spec)
                             or fit_base_learner(spec, d, seed))
         model = fit_stacked(data, cfg)
-        assert model.specs == tuple(final_fits) == members
-        assert model.weights.tolist() == weights[weights > 0].tolist()
+        assert tuple(final_fits) == members
+        assert len(model.final_base_learners) == len(members)
+        assert model.weights.tolist() == weights.tolist()
 
     def test_hand_over_is_by_position(self, monkeypatch, tmp_path):
-        """Two specs share the label ``tree``; a fit handed over for the first
-        replaces only the first one's final fit."""
+        """Two learners share the kind ``tree``; a fit handed over for the
+        first replaces only the first one's final fit."""
         data = random_table(30, 2, 19)
         cfg = StackConfig((LearnerSpec("tree", {"min_leaf_size": 2}),
                            LearnerSpec("tree", {"max_depth": 1})), n_folds=3, seed=11)
@@ -360,7 +359,7 @@ class TestStackedModel:
                             lambda spec, d, seed: fits.append((spec, d))
                             or fit_base_learner(spec, d, seed))
         model = fit_stacked(data, cfg, [first, None])
-        assert len(model.specs) == 2
+        assert len(model.final_base_learners) == 2
         assert [spec for spec, d in fits if d is data] == [cfg.base_learner_specs[1]]
         save_model(model, tmp_path / "handed.json")
         assert (tmp_path / "handed.json").read_bytes() == (tmp_path / "own.json").read_bytes()
@@ -384,19 +383,18 @@ class TestStackedModel:
         assert np.all(stacked <= base.max(axis=0) + 1e-9)
 
     def test_invalid_weights_rejected(self):
-        # a learner of weight 0 is no member, so a zero weight is refused too
-        for weights in ([0.5, 0.6], [-0.1, 1.1], [np.nan, np.nan], [1.0, 0.0]):
-            with pytest.raises(ValueError, match="finite, positive and sum to one"):
+        for weights in ([0.5, 0.6], [-0.1, 1.1], [np.nan, np.nan], [[0.5, 0.5]], []):
+            with pytest.raises(ValueError, match="finite, nonnegative and sum to one"):
                 StackedModel(final_base_learners=[Constant(1.0), Constant(2.0)],
-                             weights=np.array(weights), specs=(MEAN, MEAN), n_features=1)
+                             weights=np.array(weights), n_features=1)
 
-    @pytest.mark.parametrize("n_learners, n_specs", [(1, 2), (2, 1)])
-    def test_one_weight_and_spec_per_member(self, n_learners, n_specs):
-        with pytest.raises(ValueError, match=f"2 weights and {n_specs} specs for "
-                                             f"{n_learners} base models"):
+    @pytest.mark.parametrize("n_learners", [1, 3])
+    def test_one_positive_weight_per_member(self, n_learners):
+        # a learner of weight 0 is no member, so it has no model to hold
+        with pytest.raises(ValueError, match=f"2 positive weights for {n_learners} "
+                                             f"base models"):
             StackedModel(final_base_learners=[Constant(1.0)] * n_learners,
-                         weights=np.array([0.5, 0.5]), specs=(MEAN,) * n_specs,
-                         n_features=1)
+                         weights=np.array([0.5, 0.0, 0.5]), n_features=1)
 
     def test_fit_deterministic_given_seed(self):
         data = random_table(24, 2, 29)
