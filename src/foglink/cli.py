@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -152,26 +152,19 @@ class RunConfig:
             raise ValidationError(
                 f"attenuation_model must be 'kruse' or 'kim', got {self.attenuation_model!r}")
 
+    def _physics(self, cls, **derived):
+        """A ``cls`` filled by field name from ``derived``, then from this RunConfig."""
+        own = {**vars(self), **derived}
+        return cls(**{f.name: own[f.name] for f in fields(cls) if f.name in own})
+
     def transceiver(self) -> TransceiverConfig:
-        return TransceiverConfig(
-            tx_power_w=self.tx_power_w, divergence_mrad=self.divergence_mrad,
-            tx_aperture_m=self.tx_aperture_m, rx_aperture_m=self.rx_aperture_m,
-            photons_per_bit=self.photons_per_bit)
+        return self._physics(TransceiverConfig)
 
     def noise(self) -> ReceiverNoiseConfig:
-        return ReceiverNoiseConfig(
-            responsivity_a_per_w=self.responsivity_a_per_w,
-            load_resistance_ohm=self.load_resistance_ohm,
-            dark_current_a=self.dark_current_a, temperature_k=self.temperature_k,
-            electrical_bandwidth_hz=self.electrical_bandwidth_hz)
+        return self._physics(ReceiverNoiseConfig)
 
     def budget(self) -> RfBudgetInputs:
-        return RfBudgetInputs(
-            tx_power_dbm=watts_to_dbm(self.tx_power_w),
-            tx_gain_linear=self.tx_gain_linear, rx_gain_linear=self.rx_gain_linear,
-            noise_bandwidth_hz=self.noise_bandwidth_hz,
-            ambient_temp_k=self.ambient_temp_k,
-            noise_figure_db=self.noise_figure_db, fade_margin_db=self.fade_margin_db)
+        return self._physics(RfBudgetInputs, tx_power_dbm=watts_to_dbm(self.tx_power_w))
 
     def fog_classes(self) -> dict[str, float]:
         return {"dense": self.fog_dense_km, "thick": self.fog_thick_km,
@@ -179,7 +172,6 @@ class RunConfig:
 
 
 def _coerce(name: str, default, text: str):
-    text = text.strip()
     try:
         if isinstance(default, tuple):
             return tuple(float(part) for part in text.split(",") if part.strip())
@@ -258,6 +250,26 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_csvs(args, outputs: dict) -> None:
+    """Write ``outputs``, file name -> (header, columns), or none if a float is not finite."""
+    for name, (header, columns) in outputs.items():
+        for column, values in zip(header, columns):
+            if isinstance(values, list):  # such as metrics.csv's, "" where undefined
+                values = [v for v in values if isinstance(v, float)]
+            if np.asarray(values).dtype.kind == "f" and not np.isfinite(values).all():
+                raise ValidationError(f"{name}: column {column} holds inf or nan; no file written")
+    out = _out_dir(args)
+    for name, (header, columns) in outputs.items():
+        (out / name).write_text(csv_text(header, columns))
+
+
+def _check_predictions(path, predicted: np.ndarray, rows, what: str) -> None:
+    """Refuse a prediction of the model file at ``path`` that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(predicted))
+    if bad.size:
+        raise ValidationError(f"model file {path} predicts inf or nan for {what} {rows[bad[0]]}")
+
+
 def cmd_attenuation_sweep(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
@@ -267,16 +279,16 @@ def cmd_attenuation_sweep(args) -> int:
         raise ValidationError("empty visibility or wavelength grid")
     lams = np.array(cfg.wavelengths_nm)
     path = OpticalPath(lams, 0.0, visibilities)
-    (_out_dir(args) / "attenuation_sweep.csv").write_text(csv_text(
+    _write_csvs(args, {"attenuation_sweep.csv": (
         ["visibility_km", "wavelength_nm", "q", "beta_per_km", "atten_db_per_km"],
         [visibilities, lams, particle_size_exponent(visibilities, model),
-         extinction_coefficient(path, model), attenuation_db_per_km(path, model)]))
+         extinction_coefficient(path, model), attenuation_db_per_km(path, model)])})
     return EXIT_OK
 
 
 def cmd_link_sweep(args) -> int:
     """Compute and check all five curves, then write them one file at a time;
-    a failure writes nothing."""
+    a failure, or a cell that is not finite, writes nothing."""
     cfg = load_config(args.config)
     model = cfg.model()
     if not cfg.wavelengths_nm or not cfg.tx_powers_w:
@@ -342,9 +354,7 @@ def cmd_link_sweep(args) -> int:
         ["range_km", "fog_class", "fog_visibility_km", "power_penalty_db"],
         (ranges, names, fog_visibilities, penalty))
 
-    out = _out_dir(args)
-    for name, (header, columns) in curves.items():
-        (out / name).write_text(csv_text(header, columns))
+    _write_csvs(args, curves)
     return EXIT_OK
 
 
@@ -396,10 +406,8 @@ def _load_records(path, seed: int, cfg: RunConfig):
 
 
 def _build_table(records, cfg: RunConfig):
-    sweep = TransceiverSweep(
-        base=cfg.transceiver(), wavelengths_nm=tuple(cfg.wavelengths_nm),
-        tx_powers_w=tuple(cfg.tx_powers_w), range_km=cfg.link_range_km,
-        attenuation_model=cfg.model())
+    sweep = cfg._physics(TransceiverSweep, base=cfg.transceiver(), range_km=cfg.link_range_km,
+                         attenuation_model=cfg.model())
     return build_qos_table(records, sweep, cfg.noise(), cfg.budget())
 
 
@@ -450,10 +458,8 @@ def cmd_train(args) -> int:
                     batch_size=cfg.mlp_batch_size, seed=args.seed,
                     early_stop_patience=cfg.mlp_patience))
                 model = result.model
-                hyperparameters = {"hidden": cfg.mlp_hidden, "epochs": cfg.mlp_epochs,
-                                   "learning_rate": cfg.mlp_learning_rate,
-                                   "batch_size": cfg.mlp_batch_size,
-                                   "patience": cfg.mlp_patience, "seed": args.seed}
+                hyperparameters = {f.name[4:]: getattr(cfg, f.name) for f in fields(cfg)
+                                   if f.name.startswith("mlp_")} | {"seed": args.seed}
         except Exception as exc:  # keep fitting the remaining models
             failures[name] = f"{type(exc).__name__}: {exc}"
             print(f"training failed for {name}: {exc}", file=sys.stderr)
@@ -481,10 +487,7 @@ def cmd_train(args) -> int:
     manifest = {
         "seed": args.seed,
         "source": {"kind": "csv", "path": args.data},
-        "config": {f.name: (list(getattr(cfg, f.name))
-                            if isinstance(getattr(cfg, f.name), tuple)
-                            else getattr(cfg, f.name))
-                   for f in fields(RunConfig)},
+        "config": asdict(cfg),
         "n_records_used": len(records),
         "n_rows": qos.table.n_rows,
         "feature_names": list(qos.table.feature_names),
@@ -504,6 +507,8 @@ def cmd_evaluate(args) -> int:
         manifest = json.loads(manifest_path.read_text())
     except RecursionError:
         raise ValidationError(f"manifest {manifest_path} is nested too deeply") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValidationError(f"manifest {manifest_path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest {manifest_path} is not a JSON object")
     missing = [key for key in ("config", "source", "seed", "n_rows", "models")
@@ -537,28 +542,30 @@ def cmd_evaluate(args) -> int:
     _, _, test_idx = split_indices(qos.table.n_rows, cfg.split_fractions, seed)
     test = qos.subset(test_idx)
 
-    base = manifest_path.parent
-    missing = [name for name, entry in models.items() if not (base / entry["file"]).is_file()]
+    paths = {name: manifest_path.parent / models[name]["file"] for name in sorted(models)}
+    missing = [str(path) for path in paths.values() if not path.is_file()]
     if missing:
-        raise ValidationError("missing model file(s): " + ", ".join(
-            str(base / models[name]["file"]) for name in missing))
+        raise ValidationError("missing model file(s): " + ", ".join(missing))
 
     groups = {"all": np.arange(test.table.n_rows)}
     groups.update((s, np.nonzero(test.stations == s)[0]) for s in set(test.stations.tolist()))
-    names, locations = sorted(models), sorted(groups)
-    predicted = np.reshape([load_model(base / models[name]["file"]).predict(test.table.features)
-                            for name in names], (len(names), test.table.n_rows))
+    names, locations = list(paths), sorted(groups)
+    predicted = np.reshape([load_model(path).predict(test.table.features)
+                            for path in paths.values()], (len(names), test.table.n_rows))
+    for path, p in zip(paths.values(), predicted):
+        _check_predictions(path, p, range(test.table.n_rows), "test row")
     # model-major metric rows; a MAPE or R² without a value is an empty cell
     reports = [compute_metrics(test.table.targets[groups[location]], p[groups[location]])
                for p in predicted for location in locations]
     values = ([getattr(report, key.lower()) for report in reports] for key in METRIC_HEADER[2:])
-    (out / "metrics.csv").write_text(csv_text(METRIC_HEADER, [
-        np.repeat(names, len(locations)), locations * len(names),
-        *([("" if v is None else v) for v in column] for column in values)]))
-    (out / "predictions.csv").write_text(csv_text(
-        ["model", "location", "row", "actual", "predicted"],
-        [np.array(names)[:, None], test.stations, np.arange(test.table.n_rows),
-         test.table.targets, predicted]))
+    _write_csvs(args, {
+        "metrics.csv": (METRIC_HEADER, [
+            np.repeat(names, len(locations)), locations * len(names),
+            *([("" if v is None else v) for v in column] for column in values)]),
+        "predictions.csv": (
+            ["model", "location", "row", "actual", "predicted"],
+            [np.array(names)[:, None], test.stations, np.arange(test.table.n_rows),
+             test.table.targets, predicted])})
     return EXIT_OK
 
 
@@ -577,11 +584,12 @@ def cmd_predict(args) -> int:
             raise ValidationError(
                 f"feature columns {header} do not match the model's recorded "
                 f"feature names {expected} (order matters)")
-        _, columns = read_csv_columns(lines, [Column(name) for name in expected])
+        line_nos, columns = read_csv_columns(lines, [Column(name) for name in expected])
+    predicted = model.predict(np.column_stack(columns))
+    _check_predictions(model_path, predicted, line_nos, "feature line")
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "predictions.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    X = np.column_stack(columns)
-    out_path.write_text(csv_text(expected + ["prediction"], [*columns, model.predict(X)]))
+    out_path.write_text(csv_text(expected + ["prediction"], [*columns, predicted]))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ backpropagated gradients against central finite differences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,15 +116,6 @@ class MLPModel:
                    hidden_activation=hidden_activation,
                    output_activation=output_activation)
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(layer_sizes=self.layer_sizes,
-                        weights=[w.copy() for w in self.weights],
-                        biases=[b.copy() for b in self.biases],
-                        hidden_activation=self.hidden_activation,
-                        output_activation=self.output_activation,
-                        x_mean=self.x_mean.copy(), x_std=self.x_std.copy(),
-                        feature_names=self.feature_names)
-
     def _forward_batch(self, X: np.ndarray):
         """Returns (pre-activations per layer, post-activations per layer)."""
         a = (X - self.x_mean) / self.x_std
@@ -217,11 +208,11 @@ def train(model: MLPModel, data: LabeledTable, cfg: TrainConfig) -> TrainResult:
     X_val = data.features[val_rows]
     y_val = data.targets[val_rows]
 
-    fitted = model.copy()
-    fitted.feature_names = data.feature_names
-    fitted.x_mean = X_train.mean(axis=0)
+    # training updates the weights and biases in place, so it works on copies
     std = X_train.std(axis=0)
-    fitted.x_std = np.where(std > 0, std, 1.0)
+    fitted = replace(model, weights=[w.copy() for w in model.weights],
+                     biases=[b.copy() for b in model.biases], x_mean=X_train.mean(axis=0),
+                     x_std=np.where(std > 0, std, 1.0), feature_names=data.feature_names)
 
     result = TrainResult(model=fitted, train_rows=train_rows)
     best_val = np.inf

@@ -6,10 +6,12 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,13 @@ from foglink.cli import (
     main,
 )
 from foglink.atmosphere import OpticalPath, extinction_coefficient
-from foglink.dataset import CsvParseError, csv_text, parse_visibility_csv
+from foglink.dataset import CsvParseError, TransceiverSweep, csv_text, parse_visibility_csv
+from foglink.link_budget import (
+    ReceiverNoiseConfig,
+    RfBudgetInputs,
+    TransceiverConfig,
+    watts_to_dbm,
+)
 from foglink.serialize import load_model, save_model
 from foglink.tables import LabeledTable
 from foglink.tree import fit_regression_tree
@@ -97,6 +105,30 @@ class TestConfig:
         keys = re.findall(r"^(\w+) =", uncommented, flags=re.MULTILINE)
         assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
         assert load_config(write_cfg(tmp_path, uncommented)) == RunConfig()
+
+    def test_physics_configs_take_each_field_of_a_run_key_by_name(self):
+        """Every physics field but five is set from the run key of its name,
+        so a renamed key fails here rather than leave its field at the
+        default."""
+        physics = (TransceiverConfig, ReceiverNoiseConfig, RfBudgetInputs)
+        keys = {f.name for f in fields(RunConfig)}
+        assert {f.name for cls in physics for f in fields(cls)} - keys == {
+            "tx_efficiency", "rx_efficiency",    # fixed at their 0.8 defaults
+            "tx_power_dbm",                      # derived from tx_power_w
+            "wavelength_m", "total_attenuation_db"}  # set per row or per curve
+        run = replace(RunConfig(), **{f.name: getattr(RunConfig(), f.name) + 0.5
+                                      for cls in physics for f in fields(cls)
+                                      if f.name in keys})
+        for built in (run.transceiver(), run.noise(), run.budget()):
+            for f in fields(built):
+                expected = (getattr(run, f.name) if f.name in keys
+                            else watts_to_dbm(run.tx_power_w) if f.name == "tx_power_dbm"
+                            else f.default)
+                assert getattr(built, f.name) == expected, f.name
+        # the QoS table's grid takes its two grids by name; attenuation_model
+        # is parsed, and base and range_km are passed, as train builds it
+        assert {f.name for f in fields(TransceiverSweep)} - keys == {
+            "base", "range_km", "reference_wavelength_nm"}
 
 
 class TestAttenuationSweep:
@@ -248,6 +280,59 @@ class TestLinkSweep:
         series = [float(r["received_power_w"]) for r in rows
                   if r["wavelength_nm"] == "1550.0"]
         assert all(a >= b for a, b in zip(series, series[1:]))
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("link-sweep", "photons_per_bit = 5e-324\n",
+     "data_rate_vs_attenuation.csv: column data_rate_bps"),
+    ("link-sweep", "tx_power_w = 1e308\n", "data_rate_vs_attenuation.csv: column data_rate_bps"),
+    ("link-sweep", "tx_gain_linear = 5e-324\n", "capacity_vs_range.csv: column capacity_bps"),
+    ("link-sweep", "load_resistance_ohm = 5e-324\nresponsivity_a_per_w = 1e300\n",
+     "ber_vs_attenuation.csv: column snr_linear"),
+    ("attenuation-sweep", "visibility_min_km = 5e-324\n",
+     "attenuation_sweep.csv: column beta_per_km"),
+], ids=["photons-per-bit", "tx-power", "tx-gain", "load-resistance", "visibility-min"])
+def test_overflowing_sweep_exits_3_and_writes_nothing(command, config, named, tmp_path,
+                                                      capsys):
+    """Finite, positive config values whose curves overflow, with numpy's
+    warning: every file is checked before the first is written."""
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main([command, "--config", write_cfg(tmp_path, config), "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"validation error: {named} holds inf or nan; no file written\n")
+    assert not list(out.glob("*.csv"))
+
+
+_SWEEP_KEYS = [f.name for f in fields(RunConfig)][:[f.name for f in fields(RunConfig)]
+                                                   .index("sample_records")]
+# grids of a few points each, before the drawn lines, which win
+_COARSE = "visibility_step_km = 2.5\nrange_step_km = 2.5\natten_step_db_per_km = 10\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(_SWEEP_KEYS), st.sampled_from(
+    ["5e-324", "1e308", "0", "-1", "nan", "x", "0.5", "2", "1000", "760,1e308"])),
+    min_size=1, max_size=3))
+def test_fuzzed_sweep_config_exits_0_or_3_with_finite_cells(lines):
+    """Any physics or grid key at an extreme, zero, negative, NaN or
+    unparsable value: both sweeps exit 0 or 3, with no exception, and every
+    number they write is finite."""
+    with tempfile.TemporaryDirectory() as scratch, \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = Path(scratch) / "run.cfg"
+        cfg.write_text(_COARSE + "".join(f"{key} = {value}\n" for key, value in lines))
+        for command in ("attenuation-sweep", "link-sweep"):
+            out = Path(scratch) / command
+            code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+            assert code in (EXIT_OK, EXIT_VALIDATION)
+            for written in out.glob("*.csv"):
+                for row in csv.reader(written.read_text().splitlines()[1:]):
+                    for cell in row:
+                        with contextlib.suppress(ValueError):
+                            assert math.isfinite(float(cell)), (written.name, row)
 
 
 _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, float("nan"), float("inf"),
@@ -701,9 +786,11 @@ class TestEvaluate:
                 "target_ber, tx_efficiency") in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
+        ("{", "is not JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
         ("[]", "is not a JSON object"),
         ('{"config":' + "[" * 100_000 + "]" * 100_000 + "}", "is nested too deeply"),
-    ], ids=["array", "nested-too-deeply"])
+    ], ids=["not-json", "array", "nested-too-deeply"])
     def test_manifest_not_a_shallow_object_exits_3(self, tmp_path, capsys, text, message):
         """The deep text is built as a string: ``json.dumps`` cannot encode it
         either."""
@@ -1011,6 +1098,23 @@ class TestPredict:
         assert f"model file {model}" in err and message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_prediction_not_finite_names_the_model_and_feature_line(self, trained, tmp_path,
+                                                                    capsys):
+        """An mlp fed 1e308 features predicts NaN; the line number counts
+        the blank line before it."""
+        model = trained["out"] / "models" / "mlp.json"
+        feats = tmp_path / "feats.csv"
+        feats.write_text(",".join(json.loads(model.read_text())["feature_names"])
+                         + "\n0,1e9,3.0,0.1,1550\n\n1e+308,1e9,3.0,1e+308,1550\n")
+        out = tmp_path / "pred.csv"
+        with pytest.warns(RuntimeWarning):
+            code = main(["predict", "--model", str(model), "--features", str(feats),
+                         "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"validation error: model file {model} predicts inf "
+                                           f"or nan for feature line 4\n")
+        assert not out.exists()
+
     def test_model_missing_field_is_validation_error(self, trained, tmp_path, capsys):
         payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())
         del payload["init_value"]
@@ -1022,6 +1126,108 @@ class TestPredict:
                      "--out", str(tmp_path / "pred.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "gbr.json" in err and "init_value" in err
+
+
+@pytest.mark.parametrize("command, where", [("predict", "feature line 2"),
+                                            ("evaluate", "test row 0")])
+def test_overflowing_gbr_exits_3_naming_the_model_and_row(command, where, trained, tmp_path,
+                                                           capsys):
+    """A gbr whose initial value and every leaf hold 1.7e308 loads, and
+    predicts inf for every row."""
+    payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())
+    payload["init_value"] = 1.7e308
+    for node_lists in payload["trees"]:
+        node_lists["value"] = [1.7e308] * len(node_lists["value"])
+    model = tmp_path / "models" / "gbr.json"
+    model.parent.mkdir()
+    model.write_text(json.dumps(payload))
+    if command == "predict":
+        feats = tmp_path / "feats.csv"
+        feats.write_text(",".join(payload["feature_names"]) + "\n0,1e9,3.0,0.1,1550\n")
+        argv = ["predict", "--model", str(model), "--features", str(feats)]
+    else:
+        manifest = json.loads((trained["out"] / "manifest.json").read_text())
+        manifest["models"] = {"gbr": manifest["models"]["gbr"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["evaluate", "--manifest", str(tmp_path / "manifest.json")]
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main(argv + ["--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"validation error: model file {model} predicts inf "
+                                       f"or nan for {where}\n")
+    assert not list(out.glob("*.csv"))
+
+
+def test_overflowing_metric_exits_3_naming_the_file_and_column(trained, tmp_path, capsys):
+    """Predictions of 1e200 are finite, but their squared errors are not."""
+    payload = json.loads((trained["out"] / "models" / "gbr.json").read_text())
+    payload["init_value"] = 1e200
+    model = tmp_path / "models" / "gbr.json"
+    model.parent.mkdir()
+    model.write_text(json.dumps(payload))
+    manifest = json.loads((trained["out"] / "manifest.json").read_text())
+    manifest["models"] = {"gbr": manifest["models"]["gbr"]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main(["evaluate", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("validation error: metrics.csv: column MSE holds inf "
+                                       "or nan; no file written\n")
+    assert not list(out.glob("*.csv"))
+
+
+def _json_paths(node, path=()):
+    """The path to every value below ``node``: each key of an object, and
+    the first and last entries of an array."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = {0: node[0], -1: node[-1]}.items() if isinstance(node, list) and node else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_and_model_files_exit_0_3_4_or_5(trained, data):
+    """One field of the manifest or of a model file deleted, or replaced by
+    a value of another type or by 1e308: ``evaluate``, and ``predict`` with
+    that model, end in an exit code, with no exception."""
+    target = data.draw(st.sampled_from(
+        ["manifest.json", *(f"models/{name}.json" for name in cli.MODEL_NAMES)]))
+    document = json.loads((trained["out"] / target).read_text())
+    *parents, last = data.draw(st.sampled_from(list(_json_paths(document))))
+    holder = document
+    for key in parents:
+        holder = holder[key]
+    replacement = data.draw(st.sampled_from([_DELETE, None, True, 1e308, "", [], {}]))
+    if replacement is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = replacement
+    with tempfile.TemporaryDirectory() as scratch, \
+            contextlib.redirect_stderr(io.StringIO()):
+        run = Path(scratch)
+        shutil.copytree(trained["out"] / "models", run / "models")
+        shutil.copy(trained["out"] / "manifest.json", run)
+        (run / target).write_text(json.dumps(document))
+        codes = [main(["evaluate", "--manifest", str(run / "manifest.json"),
+                       "--out-dir", str(run / "out")])]
+        if target != "manifest.json":
+            feats = run / "feats.csv"
+            names = json.loads((trained["out"] / "manifest.json").read_text())["feature_names"]
+            feats.write_text(",".join(names) + "\n0,1e9,3.0,0.1,1550\n1,1e10,20,0.01,760\n")
+            codes.append(main(["predict", "--model", str(run / target), "--features",
+                               str(feats), "--out", str(run / "predictions.csv")]))
+    assert set(codes) <= {EXIT_OK, EXIT_VALIDATION, EXIT_PARSE, EXIT_TRAINING}
 
 
 # flags each command used to accept and ignore

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestForward:
         model = MLPModel.initialize((2, 5, 1), hidden_activation=ActivationKind.TANH, seed=7)
         x = np.array([[0.3, -0.8]])
         base = model.predict(x)[0]
-        bumped = model.copy()
+        bumped = copy.deepcopy(model)
         bumped.weights[0][0, 0] += 1e-8
         assert abs(bumped.predict(x)[0] - base) < 1e-4
 
